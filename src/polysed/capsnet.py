@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
+from .dsp import WINDOW_FRAMES
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import EventRoll, SegmentCounts, error_rate, segment_counts
 from .optim import AdaDeltaState, adadelta_step
 from .rng import SeededRng
 from .tensor import Tensor, gradients, no_grad
 
-WINDOW_FRAMES = 256
 LOSS_CLAMP = 1e-7
 
 
@@ -92,6 +92,8 @@ class ActivityMatrix:
     def __post_init__(self):
         if self.values.ndim != 2 or self.values.shape[0] != WINDOW_FRAMES:
             raise ShapeError(f"activity matrix must be ({WINDOW_FRAMES}, n_events), got {self.values.shape}")
+        if not np.isfinite(self.values).all():
+            raise NumericError("activation strengths are not finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
             raise NumericError("activation strengths left [0, 1]")
 
@@ -270,11 +272,7 @@ def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = N
         denom = float(pred.size)
     loss = T.div(T.tsum(nll), denom)
     if l2_weight and params:
-        reg = None
-        for p_t in params.values():
-            term = T.tsum(T.square(p_t))
-            reg = term if reg is None else T.add(reg, term)
-        loss = T.add(loss, T.mul(reg, l2_weight))
+        loss = T.add(loss, T.mul(_l2_term(params), l2_weight))
     return loss
 
 

@@ -367,7 +367,8 @@ def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
         if truth is None:
             truth, clip_counts = _split_truth(cfg, out, split, hop)
         params = dataio.read_fusion_params(out / "fusion" / f"single_{tfr_name}.json")
-        roll = apply_threshold(np.clip(scores - params.biases[0], 0.0, 1.0), params.thresholds)
+        single = PredictionSet(predictions=[scores], truth=truth, hop=hop, labels=labels)
+        roll = apply_threshold(fuse(single, params), params.thresholds)
         counts = _per_clip_counts(roll, truth, clip_counts, hop, cfg.vocabulary)
         systems.append(_system_entry(tfr_name, "single", counts))
 

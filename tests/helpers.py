@@ -67,3 +67,52 @@ def segment_counts_oracle(ref: np.ndarray, pred: np.ndarray, frames_per_seg: int
         i_list.append(fp - s)
         n_list.append(n_ref)
     return s_list, d_list, i_list, n_list
+
+
+def reference_fit_fusion(preds, block_len=None, bias_grid=None, threshold_grid=None):
+    """Brute-force fusion fit: the coordinate search of ``fit_fusion`` with
+    every trial scored by re-fusing and re-counting the whole split through
+    ``fitted_error_rate``.  Returns the parameters and their fitted ER."""
+    import warnings
+
+    from polysed import fusion
+
+    block_len = fusion.DEFAULT_BLOCK_LEN if block_len is None else block_len
+    bias_grid = fusion.BIAS_GRID if bias_grid is None else bias_grid
+    threshold_grid = fusion.THRESHOLD_GRID if threshold_grid is None else threshold_grid
+    m, n = preds.n_models, preds.n_events
+    weights = fusion.mse_weights(preds)
+    biases = np.full(m, fusion.DEFAULT_BIAS)
+    thresholds = np.full(n, fusion.DEFAULT_THRESHOLD)
+
+    if preds.truth.sum() == 0:
+        warnings.warn("ground truth has no active events; returning default fusion parameters")
+        return fusion.FusionParams(weights, biases, thresholds, block_len), None
+
+    def score(b, eta):
+        return fusion.fitted_error_rate(preds, fusion.FusionParams(weights, b, eta, block_len))
+
+    current = score(biases, thresholds)
+    for _ in range(fusion.MAX_SWEEP_ROUNDS):
+        changed = False
+        for k in range(m):
+            for candidate in bias_grid:
+                if candidate == biases[k]:
+                    continue
+                trial = biases.copy()
+                trial[k] = candidate
+                er = score(trial, thresholds)
+                if er < current:
+                    biases, current, changed = trial, er, True
+        for e in range(n):
+            for candidate in threshold_grid:
+                if candidate == thresholds[e]:
+                    continue
+                trial = thresholds.copy()
+                trial[e] = candidate
+                er = score(biases, trial)
+                if er < current:
+                    thresholds, current, changed = trial, er, True
+        if not changed:
+            break
+    return fusion.FusionParams(weights, biases, thresholds, block_len), current

@@ -7,7 +7,7 @@ from polysed import tensor as T
 from polysed.capsnet import (ActivityMatrix, CapsNetConfig, CapsNetModel, EarlyStopping,
                              WindowExample, detection_loss, dynamic_routing, home_config,
                              residential_config, squash, train)
-from polysed.errors import ConfigError, DataError, ShapeError
+from polysed.errors import ConfigError, DataError, NumericError, ShapeError
 from polysed.rng import SeededRng
 from polysed.tensor import Tensor, gradients
 
@@ -323,3 +323,11 @@ def test_train_learns_separable_tones():
 def test_activity_matrix_validates():
     with pytest.raises(ShapeError):
         ActivityMatrix(values=np.zeros((10, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_activity_matrix_rejects_non_finite(bad):
+    values = np.full((256, 2), 0.5)
+    values[100, 1] = bad
+    with pytest.raises(NumericError, match="not finite"):
+        ActivityMatrix(values=values)

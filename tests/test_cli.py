@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polysed import dataio
@@ -158,6 +159,21 @@ def test_vocabulary_mismatch_exits_2(ran_pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "low_tone" in err  # names the offending label
+
+
+def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    pred = out / "pred" / "logmel_16" / "val.pred"
+    before = pred.read_bytes()
+    scores, hop, labels = dataio.read_predictions(pred)
+    scores[3, 1] = np.nan
+    dataio.write_predictions(scores, hop, labels, pred)
+    try:
+        assert _run(cfg_path, out, "fuse-fit") == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("polysed: error: numeric:") and "\n" not in err
+    finally:
+        pred.write_bytes(before)
 
 
 def test_train_lock_blocks_second_job(ran_pipeline, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from polysed.errors import DataError, ShapeError
+from helpers import reference_fit_fusion
+
+from polysed.errors import DataError, NumericError, ShapeError
 from polysed.fusion import (BIAS_GRID, THRESHOLD_GRID, FusionParams, PredictionSet,
                             apply_threshold, fit_fusion, fitted_error_rate, fuse,
                             mse_weights)
@@ -231,3 +233,107 @@ def test_fit_fusion_deterministic():
     np.testing.assert_array_equal(a.biases, b.biases)
     np.testing.assert_array_equal(a.thresholds, b.thresholds)
     np.testing.assert_array_equal(a.weights, b.weights)
+
+
+# -- fast fit against the brute-force oracle ---------------------------------------
+
+def _random_case(rng, m, n, t, hop):
+    """Event runs as truth, m detectors with their own offset, lag and noise.
+    A single detector's scores are rounded to multiples of 0.05, so its
+    segment maxima tie with grid thresholds, which activate on equality."""
+    truth = np.zeros((t, n), dtype=np.uint8)
+    for _ in range(max(1, t // 40)):
+        length = int(rng.integers(3, 60))
+        start = int(rng.integers(0, t))
+        truth[start:start + length, int(rng.integers(n))] = 1
+    truth[0, 0] = 1
+    preds = []
+    for _ in range(m):
+        lag = int(rng.integers(0, 4))
+        shifted = np.roll(truth, lag, axis=0).astype(float)
+        raw = 0.55 * shifted + rng.uniform(0.1, 0.35) + rng.normal(0, 0.2, truth.shape)
+        if m == 1:
+            raw = np.round(raw * 20) / 20
+        preds.append(np.clip(raw, 0.0, 1.0))
+    return _pset(preds, truth, hop=hop)
+
+
+# (m, events, frames, hop, block_len, custom grids): hop 0.02 makes 50-frame
+# segments, 0.05 20-frame and 0.1 10-frame ones.
+FIT_CASES = [
+    (1, 2, 400, 0.02, 256, False),    # short final block
+    (2, 3, 530, 0.02, 77, False),     # block_len not a multiple of the segment
+    (3, 2, 220, 0.02, 7, True),       # every block shorter than one segment
+    (4, 3, 610, 0.05, 90, True),      # other hop, 4.5 segments per block
+    (2, 2, 333, 0.1, 333, True),      # one block, short last segment
+]
+
+
+def _custom_grids(rng):
+    biases = tuple(sorted(rng.choice(np.round(np.linspace(-0.3, 0.3, 13), 2),
+                                     size=4, replace=False)))
+    thresholds = tuple(sorted(rng.choice(np.round(np.linspace(0.05, 0.95, 37), 3),
+                                         size=8, replace=False)))
+    return {"bias_grid": biases, "threshold_grid": thresholds}
+
+
+def _assert_matches_reference(pset, **kwargs):
+    fast = fit_fusion(pset, **kwargs)
+    ref, ref_er = reference_fit_fusion(pset, **kwargs)
+    np.testing.assert_array_equal(fast.weights, ref.weights)
+    np.testing.assert_array_equal(fast.biases, ref.biases)
+    np.testing.assert_array_equal(fast.thresholds, ref.thresholds)
+    assert fast.block_len == ref.block_len
+    assert fitted_error_rate(pset, fast) == ref_er
+
+
+@pytest.mark.parametrize("case", FIT_CASES, ids=lambda c: f"m{c[0]}-hop{c[3]}-block{c[4]}")
+def test_fit_fusion_matches_reference(case):
+    m, n, t, hop, block_len, custom = case
+    rng = np.random.default_rng(1000 + m * 31 + block_len)
+    pset = _random_case(rng, m, n, t, hop)
+    grids = _custom_grids(rng) if custom else {}
+    _assert_matches_reference(pset, block_len=block_len, **grids)
+
+
+def test_fit_fusion_matches_reference_random_geometries():
+    rng = np.random.default_rng(2024)
+    for _ in range(6):
+        m = int(rng.integers(1, 5))
+        hop = float(rng.choice([0.02, 0.04, 0.05, 0.1]))
+        pset = _random_case(rng, m, int(rng.integers(1, 4)), int(rng.integers(60, 400)), hop)
+        _assert_matches_reference(pset, block_len=int(rng.integers(5, 300)),
+                                  **_custom_grids(rng))
+
+
+@pytest.mark.parametrize("grids", [{"bias_grid": (0.0, 1.5)},
+                                   {"threshold_grid": (-0.1, 0.5)},
+                                   {"threshold_grid": (0.5, 1.01)}])
+def test_fit_fusion_rejects_out_of_range_grid(grids):
+    with pytest.raises(DataError, match="must lie in"):
+        fit_fusion(_near_binary_case(), **grids)
+    # The grid is checked before any other work, silent truth included.
+    silent = _pset([np.full((60, 1), 0.3)], np.zeros((60, 1), dtype=int))
+    with pytest.raises(DataError, match="must lie in"):
+        fit_fusion(silent, **grids)
+
+
+def test_fit_fusion_rejects_nonpositive_block_len():
+    with pytest.raises(DataError, match="block_len"):
+        fit_fusion(_near_binary_case(), block_len=0)
+
+
+# -- non-finite scores --------------------------------------------------------------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_prediction_set_rejects_non_finite_scores(bad):
+    pred = np.full((20, 2), 0.4)
+    pred[7, 1] = bad
+    with pytest.raises(NumericError, match="prediction 1"):
+        _pset([np.full((20, 2), 0.4), pred], np.zeros((20, 2), dtype=int))
+
+
+@pytest.mark.parametrize("hop", [0.0, -0.02, float("nan")])
+def test_prediction_set_rejects_bad_hop(hop):
+    with pytest.raises(DataError, match="hop must be positive"):
+        _pset([np.full((20, 1), 0.4)], np.zeros((20, 1), dtype=int), hop=hop)
