@@ -1,6 +1,7 @@
 """Command-line interface.
 
-    polysed <command> --config experiment.cfg --out results/ [--seed N] [--jobs N]
+    polysed <command> --config experiment.cfg --out results/ [--seed N]
+    polysed extract --tfr NAME --config experiment.cfg --out results/ [--seed N] [--jobs N]
 
 Commands run the pipeline stages in order: synth, extract, train, predict,
 fuse-fit, fuse-apply, eval, report.  Exit codes: 0 success, 1 usage or
@@ -41,7 +42,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="experiment config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers where supported")
+        if name == "extract":
+            p.add_argument("--jobs", type=int, default=1, help="parallel extraction workers")
         if name in ("extract", "train", "predict"):
             p.add_argument("--tfr", required=name != "predict",
                            help="feature name, e.g. logmel_64")
@@ -64,7 +66,7 @@ def main(argv=None) -> int:
             n = pipeline.run_extract(cfg, args.tfr, out, jobs=max(1, args.jobs))
             print(f"extract: wrote {n} {args.tfr} archives")
         elif command == "train":
-            summary = pipeline.run_train(cfg, args.tfr, out, seed=args.seed)
+            summary = pipeline.run_train(cfg, args.tfr, out)
             print(f"train: {summary['tfr']} best val ER {summary['best_val_er']:.4f} "
                   f"at epoch {summary['best_epoch']} ({summary['epochs_run']} epochs run)")
         elif command == "predict":

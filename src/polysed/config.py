@@ -18,7 +18,8 @@ from pathlib import Path
 from .capsnet import CapsNetConfig
 from .dataio import ClassSpec, SynthSpec
 from .dsp import parse_tfr_name
-from .errors import ConfigError
+from .errors import ConfigError, DataError
+from .fusion import DEFAULT_BLOCK_LEN
 
 
 @dataclass
@@ -47,7 +48,7 @@ class TrainConfig:
 @dataclass
 class FusionConfig:
     tfrs: list[str] = field(default_factory=list)
-    block_len: int = 256
+    block_len: int = DEFAULT_BLOCK_LEN
 
 
 @dataclass
@@ -93,22 +94,38 @@ class _Section:
         self.name = name
         self.lineno = lineno
         self.entries = dict(entries)
+        self.lines = {key: line for key, (line, _) in self.entries.items()}
 
     def error(self, key, message):
-        lineno = self.entries[key][0] if key in self.entries else self.lineno
-        raise ConfigError(f"{self.path}:{lineno}: {message}")
+        raise ConfigError(f"{self.path}:{self.lines.get(key, self.lineno)}: {message}")
 
-    def take(self, key, convert, default=...):
+    def take(self, key, convert):
         if key not in self.entries:
-            if default is ...:
-                raise ConfigError(
-                    f"{self.path}:{self.lineno}: section [{self.name}] is missing key {key!r}")
-            return default
+            raise ConfigError(
+                f"{self.path}:{self.lineno}: section [{self.name}] is missing key {key!r}")
         lineno, value = self.entries.pop(key)
         try:
             return convert(value)
         except (ValueError, TypeError):
             raise ConfigError(f"{self.path}:{lineno}: cannot parse {key!r} from {value!r}") from None
+        except (ConfigError, DataError) as exc:
+            raise ConfigError(f"{self.path}:{lineno}: {key}: {exc}") from None
+
+    def given(self, **converters) -> dict:
+        """The keys this section sets, converted; the rest keep their
+        dataclass defaults."""
+        return {key: self.take(key, convert) for key, convert in converters.items()
+                if key in self.entries}
+
+    def build(self, cls, **values):
+        """``cls(**values)``; a rejected value is reported at the line of the
+        first key its message names, else at the section header."""
+        try:
+            return cls(**values)
+        except (ConfigError, DataError) as exc:
+            message = str(exc)
+            named = [(message.find(key), key) for key in self.lines if key in message]
+            self.error(min(named)[1] if named else None, message)
 
     def finish(self):
         if self.entries:
@@ -116,6 +133,19 @@ class _Section:
             lineno = self.entries[key][0]
             raise ConfigError(
                 f"{self.path}:{lineno}: unknown key {key!r} in section [{self.name}]")
+
+
+def _count(value: str) -> int:
+    n = int(value)
+    if n < 1:
+        raise ConfigError(f"must be at least 1, got {n}")
+    return n
+
+
+def _precision(value: str) -> str:
+    if value not in ("f64", "f32"):
+        raise ConfigError(f"must be f64 or f32, got {value!r}")
+    return value
 
 
 def _int_list(value: str) -> tuple[int, ...]:
@@ -170,23 +200,12 @@ def load_config(path) -> ExperimentConfig:
     for name, lineno, entries in _parse_sections(path):
         sec = _Section(path, name, lineno, entries)
         if name == "dataset":
-            classes = sec.take("classes", _classes)
-            synth = SynthSpec(
-                classes=classes,
-                clip_seconds=sec.take("clip_seconds", float, 10.0),
-                polyphony=sec.take("polyphony", int, 2),
-                events_per_clip=sec.take("events_per_clip", _int_pair, (3, 6)),
-                event_seconds=sec.take("event_seconds", _float_pair, (0.6, 2.0)),
-                snr_db=sec.take("snr_db", _float_pair, (6.0, 20.0)),
-                overlap_fraction=sec.take("overlap_fraction", float, 0.3),
-                seed=sec.take("seed", int, 0),
-            )
-            dataset = DatasetConfig(
-                synth=synth,
-                train_clips=sec.take("train_clips", int, 60),
-                eval_clips=sec.take("eval_clips", int, 20),
-                val_fraction=sec.take("val_fraction", float, 0.2),
-            )
+            synth = sec.build(SynthSpec, classes=sec.take("classes", _classes), **sec.given(
+                clip_seconds=float, polyphony=int, events_per_clip=_int_pair,
+                event_seconds=_float_pair, snr_db=_float_pair, overlap_fraction=float,
+                seed=int))
+            dataset = DatasetConfig(synth=synth, **sec.given(
+                train_clips=int, eval_clips=int, val_fraction=float))
             sec.finish()
         elif name.startswith("model "):
             tfr_name = name[len("model "):].strip()
@@ -196,7 +215,8 @@ def load_config(path) -> ExperimentConfig:
                 sec.error(None, f"section [model {tfr_name}] does not name a feature like logmel_64")
             if dataset is None:
                 raise ConfigError(f"{path}:{lineno}: [dataset] must come before model sections")
-            models[tfr_name] = CapsNetConfig(
+            models[tfr_name] = sec.build(
+                CapsNetConfig,
                 cnn_kernels=sec.take("cnn_kernels", _int_list),
                 cnn_kernel_dim=sec.take("cnn_kernel_dim", int),
                 pool_dims=sec.take("pool_dims", _int_list),
@@ -205,29 +225,17 @@ def load_config(path) -> ExperimentConfig:
                 output_cap_dim=sec.take("output_cap_dim", int),
                 routing_iters=sec.take("routing_iters", int),
                 n_events=len(dataset.vocabulary),
-                dropout_rate=sec.take("dropout_rate", float, 0.2),
-                l2_weight=sec.take("l2_weight", float, 1e-4),
+                **sec.given(dropout_rate=float, l2_weight=float),
             )
             model_order.append(tfr_name)
             sec.finish()
         elif name == "train":
-            train = TrainConfig(
-                epochs=sec.take("epochs", int, 100),
-                patience=sec.take("patience", int, 20),
-                batch_size=sec.take("batch_size", int, 8),
-                precision=sec.take("precision", str, "f64"),
-                lr=sec.take("lr", float, 1.0),
-                rho=sec.take("rho", float, 0.95),
-                epsilon=sec.take("epsilon", float, 1e-6),
-            )
-            if train.precision not in ("f64", "f32"):
-                raise ConfigError(f"{path}:{lineno}: precision must be f64 or f32")
+            train = TrainConfig(**sec.given(
+                epochs=_count, patience=_count, batch_size=_count, precision=_precision,
+                lr=float, rho=float, epsilon=float))
             sec.finish()
         elif name == "fusion":
-            fusion = FusionConfig(
-                tfrs=sec.take("tfrs", _str_list, []),
-                block_len=sec.take("block_len", int, 256),
-            )
+            fusion = FusionConfig(**sec.given(tfrs=_str_list, block_len=_count))
             sec.finish()
         else:
             raise ConfigError(f"{path}:{lineno}: unknown section [{name}]")

@@ -110,9 +110,6 @@ class Annotation:
             if onset >= offset:
                 raise DataError(f"event {label!r}: onset {onset} is not before offset {offset}")
 
-    def labels_used(self) -> set[str]:
-        return {label for _, _, label in self.events}
-
 
 def read_annotations(path, vocabulary: list[str] | None = None) -> Annotation:
     events = []
@@ -161,17 +158,6 @@ def annotation_to_roll(ann: Annotation, hop: float, n_frames: int,
     return EventRoll(values=values, hop=hop, labels=list(vocabulary))
 
 
-def roll_to_annotation(roll: EventRoll) -> Annotation:
-    """Contiguous active runs back to events (quantized to the frame grid)."""
-    events = []
-    for e, label in enumerate(roll.labels):
-        col = roll.values[:, e]
-        edges = np.flatnonzero(np.diff(np.concatenate([[0], col, [0]])))
-        for start, stop in zip(edges[::2], edges[1::2]):
-            events.append((start * roll.hop, stop * roll.hop, label))
-    return Annotation(events=sorted(events))
-
-
 # ---------------------------------------------------------------------------
 # Synthetic corpus
 # ---------------------------------------------------------------------------
@@ -214,7 +200,7 @@ class SynthSpec:
         if self.events_per_clip[0] > self.events_per_clip[1]:
             raise DataError("events_per_clip range is inverted")
         if self.event_seconds[1] >= self.clip_seconds:
-            raise DataError("events must be shorter than the clip")
+            raise DataError("event_seconds must stay below clip_seconds")
 
     @property
     def vocabulary(self) -> list[str]:

@@ -15,7 +15,7 @@ window is zero-padded and carries the count of valid frames.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,6 @@ from .errors import DataError, ShapeError
 
 PIPELINE_SAMPLE_RATE = 16000
 WINDOW_FRAMES = 256
-
-STFT_SIZES = (1024, 2048)
-LOGMEL_BANDS = (40, 64, 128, 256, 512)
 
 #: FFT length backing every log-mel extraction, independent of band count.
 LOGMEL_FFT = 1024
@@ -128,14 +125,10 @@ class Tfr:
 
     values: np.ndarray
     config: TfrConfig
-    frame_times: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self):
         if self.values.ndim != 3:
             raise ShapeError(f"TFR values must be (frames, bins, channels), got {self.values.shape}")
-        if self.frame_times is None:
-            hop_s = self.config.hop_ms / 1000.0
-            self.frame_times = np.arange(self.values.shape[0]) * hop_s
 
     @property
     def n_frames(self) -> int:
@@ -168,12 +161,6 @@ class TfrWindow:
             raise ShapeError(f"window must hold {WINDOW_FRAMES} frames, got {self.values.shape[0]}")
         if not (0 < self.valid <= WINDOW_FRAMES):
             raise DataError(f"valid frame count {self.valid} out of range")
-
-    @property
-    def mask(self) -> np.ndarray:
-        m = np.zeros(WINDOW_FRAMES, dtype=bool)
-        m[:self.valid] = True
-        return m
 
 
 @dataclass

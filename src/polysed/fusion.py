@@ -40,6 +40,7 @@ from .metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
 MSE_CLAMP = 1e-12
 BIAS_GRID = tuple(round(-0.2 + 0.05 * i, 2) for i in range(9))        # -0.2 .. 0.2
 THRESHOLD_GRID = tuple(round(0.05 * i, 2) for i in range(1, 20))      # 0.05 .. 0.95
+GRID_NOTE = "bias -0.2..0.2/0.05, threshold 0.05..0.95/0.05"           # stored with fitted params
 DEFAULT_BIAS = 0.0
 DEFAULT_THRESHOLD = 0.5
 MAX_SWEEP_ROUNDS = 10

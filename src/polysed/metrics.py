@@ -126,20 +126,3 @@ def error_rate(counts: SegmentCounts) -> float:
     if total_n == 0:
         raise DataError("error rate undefined: no reference events in any segment")
     return (counts.total_s + counts.total_d + counts.total_i) / total_n
-
-
-def evaluate_rolls(ref: EventRoll, pred: EventRoll, segment_sec: float = 1.0) -> float:
-    return error_rate(segment_counts(ref, pred, segment_sec))
-
-
-def format_report(scenes: dict[str, SegmentCounts]) -> str:
-    """Readable per-scene table with an averaged error rate at the bottom."""
-    lines = [f"{'scene':<16} {'ER':>8} {'S':>6} {'D':>6} {'I':>6} {'N':>6}"]
-    ers = []
-    for name in sorted(scenes):
-        c = scenes[name]
-        er = error_rate(c)
-        ers.append(er)
-        lines.append(f"{name:<16} {er:>8.4f} {c.total_s:>6} {c.total_d:>6} {c.total_i:>6} {c.total_n:>6}")
-    lines.append(f"{'average':<16} {np.mean(ers):>8.4f}")
-    return "\n".join(lines)

@@ -34,12 +34,10 @@ from . import dataio, dsp
 from .capsnet import CapsNetModel, WindowExample, train
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError
-from .fusion import (PredictionSet, apply_threshold, fit_fusion,
+from .fusion import (GRID_NOTE, PredictionSet, apply_threshold, fit_fusion,
                      fitted_error_rate, fuse)
 from .metrics import EventRoll, SegmentCounts, error_rate, segment_counts
 from .rng import SeededRng
-
-SPLITS = ("train", "val", "eval")
 
 
 def derive_seed(base: int, tag: str) -> int:
@@ -149,12 +147,8 @@ def run_extract(cfg: ExperimentConfig, tfr_name: str, out: Path, jobs: int = 1) 
         dataio.write_tfr(tfr, path)
 
     rows = read_manifest(out)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(one, rows))
-    else:
-        for row in rows:
-            one(row)
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        list(pool.map(one, rows))
     return len(rows)
 
 
@@ -185,13 +179,11 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
 # train
 # ---------------------------------------------------------------------------
 
-def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path,
-              seed: int | None = None) -> dict:
+def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     """Train one detector; returns a summary of the run."""
     out = Path(out)
     if tfr_name not in cfg.models:
         raise ConfigError(f"no [model {tfr_name}] section in the config")
-    base_seed = cfg.seed if seed is None else seed
     tfr_cfg = dsp.parse_tfr_name(tfr_name)
     dtype = np.float64 if cfg.train.precision == "f64" else np.float32
 
@@ -208,18 +200,18 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path,
         val_windows = _load_window_examples(cfg, tfr_name, out, "val")
         model = CapsNetModel.build(
             cfg.models[tfr_name], tfr_cfg.freq_bins, 2,
-            rng=SeededRng(base_seed).child(f"init:{tfr_name}"), dtype=dtype)
+            rng=SeededRng(cfg.seed).child(f"init:{tfr_name}"), dtype=dtype)
         result = train(
             model, train_windows, val_windows,
             hop_seconds=tfr_cfg.hop_ms / 1000.0,
             epochs=cfg.train.epochs, patience=cfg.train.patience,
             batch_size=cfg.train.batch_size,
-            seed=derive_seed(base_seed, f"train:{tfr_name}"),
+            seed=derive_seed(cfg.seed, f"train:{tfr_name}"),
             lr=cfg.train.lr, rho=cfg.train.rho, epsilon=cfg.train.epsilon,
             labels=cfg.vocabulary)
         dataio.write_checkpoint(
             model, ckpt, history=result.history,
-            provenance={"seed": base_seed, "tfr": tfr_name,
+            provenance={"seed": cfg.seed, "tfr": tfr_name,
                         "precision": cfg.train.precision,
                         "best_epoch": result.best_epoch, "best_er": result.best_er})
     finally:
@@ -262,30 +254,29 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path,
 # fusion
 # ---------------------------------------------------------------------------
 
-def _split_truth(cfg: ExperimentConfig, out: Path, split: str,
-                 hop: float) -> tuple[np.ndarray, list[int]]:
-    """Flat ground-truth roll plus per-clip frame counts."""
+def _load_split(cfg: ExperimentConfig, out: Path, split: str,
+                systems: list[str]) -> tuple[list[np.ndarray], np.ndarray, list[int], float]:
+    """Each system's float64 scores on one split, plus the split's flat
+    ground-truth roll, its per-clip frame counts and the shared frame hop."""
+    scores = []
+    hops = set()
+    for system in systems:
+        path = _pred_path(out, system, split)
+        values, hop, labels = dataio.read_predictions(path)
+        _check_vocabulary(labels, cfg.vocabulary, path)
+        scores.append(values.astype(np.float64))
+        hops.add(hop)
+    if len(hops) != 1:
+        raise DataError(f"{split} predictions of {', '.join(systems)} differ in frame hop")
+    hop = hops.pop()
     rolls = []
-    counts = []
+    clip_counts = []
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, cfg.fusion.tfrs[0], split, clip_id))
         roll = _clip_roll(cfg, out, split, clip_id, tfr.n_frames, hop)
         rolls.append(roll.values)
-        counts.append(roll.n_frames)
-    return np.concatenate(rolls, axis=0), counts
-
-
-def _load_prediction_set(cfg: ExperimentConfig, out: Path, split: str,
-                         tfrs: list[str]) -> PredictionSet:
-    preds = []
-    hop = None
-    for tfr_name in tfrs:
-        scores, file_hop, labels = dataio.read_predictions(_pred_path(out, tfr_name, split))
-        _check_vocabulary(labels, cfg.vocabulary, _pred_path(out, tfr_name, split))
-        preds.append(scores.astype(np.float64))
-        hop = file_hop
-    truth, _ = _split_truth(cfg, out, split, hop)
-    return PredictionSet(predictions=preds, truth=truth, hop=hop, labels=list(cfg.vocabulary))
+        clip_counts.append(roll.n_frames)
+    return scores, np.concatenate(rolls, axis=0), clip_counts, hop
 
 
 def _check_vocabulary(found: list[str], expected: list[str], path) -> None:
@@ -304,17 +295,18 @@ def run_fuse_fit(cfg: ExperimentConfig, out: Path, fit_split: str = "val") -> di
     fusion_dir.mkdir(parents=True, exist_ok=True)
     results = {"fit_split": fit_split, "single": {}, "fused": {}}
 
-    for tfr_name in cfg.fusion.tfrs:
-        pset = _load_prediction_set(cfg, out, fit_split, [tfr_name])
+    scores, truth, _, hop = _load_split(cfg, out, fit_split, cfg.fusion.tfrs)
+    labels = list(cfg.vocabulary)
+    for tfr_name, tfr_scores in zip(cfg.fusion.tfrs, scores):
+        pset = PredictionSet(predictions=[tfr_scores], truth=truth, hop=hop, labels=labels)
         params = fit_fusion(pset, block_len=cfg.fusion.block_len)
         dataio.write_fusion_params(params, fusion_dir / f"single_{tfr_name}.json",
-                                   grid_note="bias -0.2..0.2/0.05, threshold 0.05..0.95/0.05")
+                                   grid_note=GRID_NOTE)
         results["single"][tfr_name] = fitted_error_rate(pset, params)
 
-    pset_all = _load_prediction_set(cfg, out, fit_split, cfg.fusion.tfrs)
+    pset_all = PredictionSet(predictions=scores, truth=truth, hop=hop, labels=labels)
     fused_params = fit_fusion(pset_all, block_len=cfg.fusion.block_len)
-    dataio.write_fusion_params(fused_params, fusion_dir / "fused.json",
-                               grid_note="bias -0.2..0.2/0.05, threshold 0.05..0.95/0.05")
+    dataio.write_fusion_params(fused_params, fusion_dir / "fused.json", grid_note=GRID_NOTE)
     results["fused"] = {
         "tfrs": list(cfg.fusion.tfrs),
         "er": fitted_error_rate(pset_all, fused_params),
@@ -331,11 +323,12 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path,
     params = dataio.read_fusion_params(out / "fusion" / "fused.json")
     written = {}
     for split in splits:
-        pset = _load_prediction_set(cfg, out, split, cfg.fusion.tfrs)
-        fused = fuse(pset, params)
+        scores, truth, _, hop = _load_split(cfg, out, split, cfg.fusion.tfrs)
+        fused = fuse(PredictionSet(predictions=scores, truth=truth, hop=hop,
+                                   labels=list(cfg.vocabulary)), params)
         path = _pred_path(out, "fused", split)
         path.parent.mkdir(parents=True, exist_ok=True)
-        dataio.write_predictions(fused, pset.hop, cfg.vocabulary, path)
+        dataio.write_predictions(fused, hop, cfg.vocabulary, path)
         written[split] = fused.shape
     return written
 
@@ -359,27 +352,24 @@ def _per_clip_counts(roll_flat: np.ndarray, truth_flat: np.ndarray, counts: list
 def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
     """Score every system on one split; writes results.json and report.txt."""
     out = Path(out)
+    names = list(cfg.fusion.tfrs)
+    if _pred_path(out, "fused", split).exists():
+        names.append("fused")
+    scores, truth, clip_counts, hop = _load_split(cfg, out, split, names)
     systems = []
-    truth = None
-    for tfr_name in cfg.fusion.tfrs:
-        scores, hop, labels = dataio.read_predictions(_pred_path(out, tfr_name, split))
-        _check_vocabulary(labels, cfg.vocabulary, _pred_path(out, tfr_name, split))
-        if truth is None:
-            truth, clip_counts = _split_truth(cfg, out, split, hop)
-        params = dataio.read_fusion_params(out / "fusion" / f"single_{tfr_name}.json")
-        single = PredictionSet(predictions=[scores], truth=truth, hop=hop, labels=labels)
-        roll = apply_threshold(fuse(single, params), params.thresholds)
+    for name, values in zip(names, scores):
+        if name == "fused":
+            params = dataio.read_fusion_params(out / "fusion" / "fused.json")
+            roll = apply_threshold(values, params.thresholds)
+            name, kind = "+".join(cfg.fusion.tfrs), "fused"
+        else:
+            params = dataio.read_fusion_params(out / "fusion" / f"single_{name}.json")
+            single = PredictionSet(predictions=[values], truth=truth, hop=hop,
+                                   labels=list(cfg.vocabulary))
+            roll = apply_threshold(fuse(single, params), params.thresholds)
+            kind = "single"
         counts = _per_clip_counts(roll, truth, clip_counts, hop, cfg.vocabulary)
-        systems.append(_system_entry(tfr_name, "single", counts))
-
-    fused_path = _pred_path(out, "fused", split)
-    if fused_path.exists():
-        fused_scores, hop, labels = dataio.read_predictions(fused_path)
-        _check_vocabulary(labels, cfg.vocabulary, fused_path)
-        params = dataio.read_fusion_params(out / "fusion" / "fused.json")
-        roll = apply_threshold(fused_scores.astype(np.float64), params.thresholds)
-        counts = _per_clip_counts(roll, truth, clip_counts, hop, cfg.vocabulary)
-        systems.append(_system_entry("+".join(cfg.fusion.tfrs), "fused", counts))
+        systems.append(_system_entry(name, kind, counts))
 
     results = {"split": split, "systems": systems}
     fit_path = out / "fusion" / "fit_results.json"

@@ -41,8 +41,5 @@ class SeededRng:
     def permutation(self, n):
         return self.generator.permutation(n)
 
-    def choice(self, seq, size=None, replace=True):
-        return self.generator.choice(seq, size=size, replace=replace)
-
     def __repr__(self):
         return f"SeededRng(seed={self.seed}, path={self._path})"

@@ -5,7 +5,9 @@ as a speed mode, but gradient verification is only meaningful in float64).
 Each operation returns a fresh :class:`Tensor`; when autograd is enabled and
 an input participates in differentiation, the result records its parents and
 a backward rule, so the chain of results forms the tape that
-:func:`gradients` replays in reverse topological order.
+:func:`gradients` replays in reverse topological order.  :func:`gradients`
+is the only way to backpropagate: it returns the adjoints of a scalar loss
+for named parameters and stores nothing on the tensors.
 
 Tensors are treated as immutable values: no operation writes into an
 existing array, which makes them safe to share between model instances.
@@ -61,14 +63,13 @@ class Tensor:
     :func:`gradients` have exactly the parameter's shape.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._bwd: Callable | None = None
@@ -96,70 +97,9 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        """A constant view of the same values, cut off from the tape."""
-        return Tensor(self.data)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # -- operator sugar ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def relu(self):
-        return relu(self)
-
-    def sigmoid(self):
-        return sigmoid(self)
-
-    def square(self):
-        return square(self)
-
-    def backward(self) -> None:
-        """Backpropagate from this scalar, storing grads on tracked leaves."""
-        grads, order = _run_backward(self)
-        for node in order:
-            if node.requires_grad and id(node) in grads:
-                node.grad = grads[id(node)]
 
 
 # -- tape plumbing ----------------------------------------------------------
@@ -218,7 +158,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def _run_backward(loss: Tensor) -> tuple[dict[int, np.ndarray], list[Tensor]]:
+def _run_backward(loss: Tensor) -> dict[int, np.ndarray]:
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
@@ -235,7 +175,7 @@ def _run_backward(loss: Tensor) -> tuple[dict[int, np.ndarray], list[Tensor]]:
             grads[id(parent)] = pg if cur is None else cur + pg
         if node is not loss:
             del grads[id(node)]  # free interior grads as soon as they are consumed
-    return grads, order
+    return grads
 
 
 def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
@@ -244,7 +184,7 @@ def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarra
     Parameters that the loss does not reach get a zero gradient and a
     warning, since that usually indicates a wiring mistake.
     """
-    grads, _ = _run_backward(loss)
+    grads = _run_backward(loss)
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads.get(id(p))

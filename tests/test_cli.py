@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from polysed import dataio
+from polysed.capsnet import CapsNetConfig
 from polysed.cli import main
-from polysed.config import load_config
+from polysed.config import DatasetConfig, FusionConfig, TrainConfig, load_config
+from polysed.dataio import ClassSpec, SynthSpec
 from polysed.errors import ConfigError
+from polysed.fusion import DEFAULT_BLOCK_LEN
 
 TINY_CFG = """\
 # tiny end-to-end experiment
@@ -161,6 +164,19 @@ def test_vocabulary_mismatch_exits_2(ran_pipeline, tmp_path, capsys):
     assert "low_tone" in err  # names the offending label
 
 
+def test_eval_on_mismatched_hops_exits_2(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    pred = out / "pred" / "fused" / "eval.pred"
+    before = pred.read_bytes()
+    scores, hop, labels = dataio.read_predictions(pred)
+    dataio.write_predictions(scores, 2 * hop, labels, pred)
+    try:
+        assert _run(cfg_path, out, "eval") == 2
+        assert "frame hop" in capsys.readouterr().err
+    finally:
+        pred.write_bytes(before)
+
+
 def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     pred = out / "pred" / "logmel_16" / "val.pred"
@@ -214,3 +230,56 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
     path.write_text(text)
     with pytest.raises(ConfigError, match="logmel_64"):
         load_config(path)
+
+
+@pytest.mark.parametrize("line,bad", [
+    ("block_len = 256", "block_len = 0"),
+    ("batch_size = 4", "batch_size = 0"),
+    ("epochs = 2", "epochs = 0"),
+    ("patience = 20", "patience = 0"),
+    ("precision = f32", "precision = f16"),
+    ("classes = low_tone:tone:300-600, mid_chirp:chirp:900-1800, high_hiss:noise:2500-5000",
+     "classes = a:bogus:100-200"),
+    ("polyphony = 2", "polyphony = 0"),
+    ("events_per_clip = 2, 4", "events_per_clip = 4, 2"),
+])
+def test_bad_config_value_exits_1_naming_its_line(tmp_path, capsys, line, bad):
+    lines = TINY_CFG.splitlines()
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = bad
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("polysed: error: config:") and "\n" not in err
+    assert f"bad.cfg:{lineno}:" in err
+
+
+MODEL_REQUIRED = """\
+cnn_kernels = 4, 4
+cnn_kernel_dim = 3
+pool_dims = 2, 2
+n_primary_caps = 3
+primary_cap_dim = 4
+output_cap_dim = 4
+routing_iters = 3
+"""
+
+
+def test_unset_keys_load_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("[dataset]\nclasses = a:tone:100-200, b:noise:300-400\n"
+                    "\n[model logmel_32]\n" + MODEL_REQUIRED
+                    + "\n[model logmel_16]\n" + MODEL_REQUIRED)
+    cfg = load_config(path)
+    synth = SynthSpec(classes=(ClassSpec("a", "tone", 100.0, 200.0),
+                               ClassSpec("b", "noise", 300.0, 400.0)))
+    assert cfg.dataset == DatasetConfig(synth=synth)
+    assert cfg.seed == synth.seed
+    assert cfg.train == TrainConfig()
+    assert cfg.fusion == FusionConfig(tfrs=["logmel_32", "logmel_16"])
+    assert cfg.fusion.block_len == DEFAULT_BLOCK_LEN
+    geometry = dict(cnn_kernels=(4, 4), cnn_kernel_dim=3, pool_dims=(2, 2), n_primary_caps=3,
+                    primary_cap_dim=4, output_cap_dim=4, routing_iters=3, n_events=2)
+    assert cfg.models == {"logmel_32": CapsNetConfig(**geometry),
+                          "logmel_16": CapsNetConfig(**geometry)}

@@ -7,7 +7,7 @@ from polysed.capsnet import CapsNetModel, home_config
 from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll,
                             generate_clip, read_annotations, read_checkpoint,
                             read_fusion_params, read_predictions, read_tfr, read_wav,
-                            roll_to_annotation, synthesize_dataset, write_annotations,
+                            synthesize_dataset, write_annotations,
                             write_checkpoint, write_fusion_params, write_predictions,
                             write_tfr, write_wav)
 from polysed.dsp import AudioClip, extract, logmel_config
@@ -136,18 +136,6 @@ def test_roll_event_outside_clip_warns():
     with pytest.warns(UserWarning, match="outside"):
         roll = annotation_to_roll(ann, hop=0.02, n_frames=100, vocabulary=["a"])
     assert not roll.values.any()
-
-
-def test_roll_annotation_roundtrip_within_one_hop():
-    ann = Annotation(events=[(0.30, 1.52, "a"), (2.00, 3.90, "b"), (3.00, 4.26, "a")])
-    hop = 0.02
-    roll = annotation_to_roll(ann, hop=hop, n_frames=300, vocabulary=["a", "b"])
-    back = roll_to_annotation(roll)
-    assert len(back.events) == 3
-    for (onset, offset, label), (o2, f2, l2) in zip(sorted(ann.events), back.events):
-        assert label == l2
-        assert abs(onset - o2) <= hop + 1e-9
-        assert abs(offset - f2) <= hop + 1e-9
 
 
 # -- synthetic corpus ------------------------------------------------------------------

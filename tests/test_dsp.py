@@ -60,7 +60,6 @@ def test_stft_frame_geometry():
     tfr = stft_magnitude(clip, stft_config(1024))
     # 40 ms frames (640 samples) with a 20 ms hop (320 samples)
     assert tfr.n_frames == 1 + (16000 - 640) // 320
-    np.testing.assert_allclose(tfr.frame_times[:3], [0.0, 0.02, 0.04])
 
 
 def test_stft_zero_clip_zero_magnitudes():
@@ -205,7 +204,6 @@ def test_window_padding():
     assert len(wins) == 2
     assert wins[1].valid == 44
     assert np.all(wins[1].values[44:] == 0)
-    assert wins[1].mask.sum() == 44
 
 
 def test_window_partition_roundtrip():

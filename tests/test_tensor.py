@@ -53,13 +53,6 @@ def test_softmax_sums_to_one():
     np.testing.assert_allclose(s.sum(axis=1), np.ones(4), atol=1e-12)
 
 
-def test_backward_square_sum():
-    p = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    loss = T.tsum(T.square(p))
-    loss.backward()
-    np.testing.assert_allclose(p.grad, [2.0, 4.0, 6.0])
-
-
 def test_backward_sigmoid_at_zero():
     p = Tensor(np.array(0.0), requires_grad=True)
     loss = T.sigmoid(p)
