@@ -198,8 +198,10 @@ class CapsNetModel:
         for i, pool in enumerate(cfg.pool_dims):
             x = T.pad(x, ((0, 0), (pad_before, pad_after), (pad_before, pad_after)))
             x = T.conv2d(x, self.parameters[f"conv{i}_kernel"], self.parameters[f"conv{i}_bias"])
-            x = T.relu(x)
-            x = T.maxpool_last(x, pool)
+            # max commutes with the monotone ReLU (ties still go to the first
+            # index), so pooling first gives the same values and gradients
+            # while the ReLU touches 1/pool of the elements
+            x = T.relu(T.maxpool_last(x, pool))
             if train_mode and cfg.dropout_rate > 0.0:
                 keep = 1.0 - cfg.dropout_rate
                 mask = (rng.uniform(size=x.shape) >= cfg.dropout_rate).astype(self.dtype) / keep

@@ -18,6 +18,10 @@ Formats (all little-endian, all round-trip exactly as documented):
   events u32, hop f64, JSON label block, then float32 scores row-major.
 * Fusion parameters: JSON text; floats serialize via ``repr`` so parsing
   returns the identical doubles.
+
+Every reader goes through :func:`read_file` and checks each size and offset
+against its header, so a missing, truncated or corrupt artifact raises
+:class:`DataError` naming the path.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import numpy as np
 
 from .capsnet import CapsNetConfig, CapsNetModel
 from .dsp import AudioClip, Tfr, TfrConfig
-from .errors import DataError
+from .errors import DataError, PolysedError
 from .fusion import FusionParams
 from .metrics import EventRoll
 from .rng import SeededRng
@@ -40,13 +44,43 @@ from .tensor import Tensor
 PCM16_SCALE = 32768.0
 
 
+def read_file(path) -> bytes:
+    """The whole file; a missing or unreadable file is a DataError naming it."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
+def read_text(path) -> str:
+    raw = read_file(path)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}: not UTF-8 text") from None
+
+
+def read_json(path):
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: malformed JSON ({exc.msg} at byte {exc.pos})") from None
+
+
+def _unpack(fmt: str, raw: bytes, pos: int, path) -> tuple:
+    """struct.unpack_from that reports a short buffer as a truncated file."""
+    if len(raw) < pos + struct.calcsize(fmt):
+        raise DataError(f"{path}: truncated header")
+    return struct.unpack_from(fmt, raw, pos)
+
+
 # ---------------------------------------------------------------------------
 # WAV
 # ---------------------------------------------------------------------------
 
 def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
     """Read a 16-bit PCM RIFF/WAVE file into [-1, 1] samples."""
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
     pos = 12
@@ -56,6 +90,8 @@ def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
         chunk_id = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8:pos + 8 + size]
+        if len(body) < size:
+            raise DataError(f"{path}: truncated {chunk_id.decode('latin-1')!r} chunk")
         if chunk_id == b"fmt ":
             fmt = body
         elif chunk_id == b"data":
@@ -63,7 +99,7 @@ def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
         pos += 8 + size + (size & 1)  # chunks are word-aligned
     if fmt is None or data is None:
         raise DataError(f"{path}: missing fmt or data chunk")
-    audio_format, channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    audio_format, channels, rate, _, _, bits = _unpack("<HHIIHH", fmt, 0, path)
     if audio_format != 1:
         raise DataError(f"{path}: unsupported codec {audio_format}; only 16-bit PCM is handled")
     if bits != 16:
@@ -72,6 +108,8 @@ def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
         raise DataError(f"{path}: {channels} channels; only mono and stereo are handled")
     if expected_rate is not None and rate != expected_rate:
         raise DataError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
+    if len(data) % (2 * channels):
+        raise DataError(f"{path}: data chunk is not a whole number of {channels}-channel frames")
     frames = np.frombuffer(data, dtype="<i2")
     if channels == 2:
         frames = frames.reshape(-1, 2).T
@@ -113,7 +151,7 @@ class Annotation:
 
 def read_annotations(path, vocabulary: list[str] | None = None) -> Annotation:
     events = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -347,17 +385,19 @@ def write_tfr(tfr: Tfr, path) -> None:
 
 
 def read_tfr(path) -> Tfr:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if raw[:4] != _TFR_MAGIC:
         raise DataError(f"{path}: not a feature archive")
-    fields = struct.unpack_from("<IBBIIIIddd", raw, 4)
+    fields = _unpack("<IBBIIIIddd", raw, 4, path)
     version, kind, channels, bins, frames, n_fft, n_mels, hop_ms, frame_ms, floor = fields
     if version != 1:
         raise DataError(f"{path}: unsupported archive version {version}")
+    if kind not in _TFR_KIND_NAMES:
+        raise DataError(f"{path}: unknown feature kind code {kind}")
     offset = 4 + struct.calcsize("<IBBIIIIddd")
-    values = np.frombuffer(raw, dtype="<f4", offset=offset)
-    if values.size != frames * bins * channels:
+    if len(raw) - offset != 4 * frames * bins * channels:
         raise DataError(f"{path}: payload size does not match header")
+    values = np.frombuffer(raw, dtype="<f4", offset=offset)
     cfg = TfrConfig(kind=_TFR_KIND_NAMES[kind], n_fft=n_fft,
                     n_mels=n_mels or None, hop_ms=hop_ms, frame_len_ms=frame_ms,
                     log_floor=floor)
@@ -412,25 +452,35 @@ def write_checkpoint(model: CapsNetModel, path, history: list | None = None,
 
 
 def read_checkpoint(path) -> tuple[CapsNetModel, dict]:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if raw[:4] != _CKPT_MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
-    version, head_len = struct.unpack_from("<IQ", raw, 4)
+    version, head_len = _unpack("<IQ", raw, 4, path)
     if version != 1:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     base = 4 + struct.calcsize("<IQ")
-    header = json.loads(raw[base:base + head_len].decode("utf-8"))
     blob_base = base + head_len
-    params = {}
-    for entry in header["params"]:
-        start = blob_base + entry["offset"]
-        arr = np.frombuffer(raw, dtype=np.dtype(entry["dtype"]),
-                            count=int(np.prod(entry["shape"])) if entry["shape"] else 1,
-                            offset=start)
-        params[entry["name"]] = Tensor(arr.reshape(entry["shape"]).copy(), requires_grad=True)
-    config = CapsNetConfig(**header["config"])
-    model = CapsNetModel(config, header["freq_bins"], header["channels"], params,
-                         dtype=np.dtype(header["dtype"]))
+    if blob_base > len(raw):
+        raise DataError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[base:blob_base].decode("utf-8"))
+        params = {}
+        end = blob_base
+        for entry in header["params"]:
+            dtype = np.dtype(entry["dtype"])
+            count = int(np.prod(entry["shape"], dtype=np.int64))
+            start = blob_base + entry["offset"]
+            end = max(end, start + count * dtype.itemsize)
+            if end > len(raw):
+                raise ValueError(f"parameter {entry['name']!r} runs past the end of the file")
+            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
+            params[entry["name"]] = Tensor(arr.reshape(entry["shape"]).copy(), requires_grad=True)
+        if end != len(raw):
+            raise ValueError("payload size does not match header")
+        model = CapsNetModel(CapsNetConfig(**header["config"]), header["freq_bins"],
+                             header["channels"], params, dtype=np.dtype(header["dtype"]))
+    except (KeyError, TypeError, ValueError, PolysedError) as exc:
+        raise DataError(f"{path}: corrupt checkpoint ({exc})") from None
     return model, header
 
 
@@ -452,17 +502,24 @@ def write_predictions(scores: np.ndarray, hop: float, labels: list[str], path) -
 
 
 def read_predictions(path) -> tuple[np.ndarray, float, list[str]]:
-    raw = Path(path).read_bytes()
+    raw = read_file(path)
     if raw[:4] != _PRED_MAGIC:
         raise DataError(f"{path}: not a prediction file")
-    version, frames, events, hop = struct.unpack_from("<IIId", raw, 4)
+    version, frames, events, hop = _unpack("<IIId", raw, 4, path)
     if version != 1:
         raise DataError(f"{path}: unsupported prediction version {version}")
     pos = 4 + struct.calcsize("<IIId")
-    (label_len,) = struct.unpack_from("<I", raw, pos)
+    (label_len,) = _unpack("<I", raw, pos, path)
     pos += 4
-    labels = json.loads(raw[pos:pos + label_len].decode("utf-8"))
+    if pos + label_len > len(raw):
+        raise DataError(f"{path}: truncated header")
+    try:
+        labels = json.loads(raw[pos:pos + label_len].decode("utf-8"))
+    except ValueError:
+        raise DataError(f"{path}: malformed label block") from None
     pos += label_len
+    if len(raw) - pos != 4 * frames * events:
+        raise DataError(f"{path}: payload size does not match header")
     scores = np.frombuffer(raw, dtype="<f4", offset=pos, count=frames * events)
     return scores.reshape(frames, events).copy(), hop, labels
 
@@ -479,10 +536,13 @@ def write_fusion_params(params: FusionParams, path, grid_note: str = "") -> None
 
 
 def read_fusion_params(path) -> FusionParams:
-    doc = json.loads(Path(path).read_text())
-    return FusionParams(
-        weights=np.array([float(w) for w in doc["weights"]]),
-        biases=np.array([float(b) for b in doc["biases"]]),
-        thresholds=np.array([float(t) for t in doc["thresholds"]]),
-        block_len=int(doc["block_len"]),
-    )
+    doc = read_json(path)
+    try:
+        return FusionParams(
+            weights=np.array([float(w) for w in doc["weights"]]),
+            biases=np.array([float(b) for b in doc["biases"]]),
+            thresholds=np.array([float(t) for t in doc["thresholds"]]),
+            block_len=int(doc["block_len"]),
+        )
+    except (KeyError, TypeError, ValueError, PolysedError) as exc:
+        raise DataError(f"{path}: corrupt fusion parameters ({exc})") from None

@@ -267,7 +267,7 @@ def logmel(clip: AudioClip, cfg: TfrConfig) -> Tfr:
         raise DataError(f"logmel called with a {cfg.kind!r} config")
     mag = stft_magnitude(clip, cfg)
     fb = build_mel_filterbank(cfg.n_mels, cfg.n_fft, clip.sample_rate)
-    mel = np.einsum("tfc,nf->tnc", mag.values, fb.matrix)
+    mel = np.matmul(fb.matrix, mag.values)  # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
     return Tfr(values=np.log(mel + cfg.log_floor), config=cfg)
 
 

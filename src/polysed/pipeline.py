@@ -61,9 +61,11 @@ def read_manifest(out: Path) -> list[tuple[str, str]]:
     if not path.exists():
         raise DataError(f"{path} not found; run synth first")
     rows = []
-    for line in path.read_text().splitlines():
-        clip_id, split = line.split("\t")
-        rows.append((clip_id, split))
+    for lineno, line in enumerate(dataio.read_text(path).splitlines(), start=1):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected clip_id<TAB>split")
+        rows.append((fields[0], fields[1]))
     return rows
 
 
@@ -374,7 +376,7 @@ def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
     results = {"split": split, "systems": systems}
     fit_path = out / "fusion" / "fit_results.json"
     if fit_path.exists():
-        results["fit"] = json.loads(fit_path.read_text())
+        results["fit"] = dataio.read_json(fit_path)
     eval_dir = out / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
     (eval_dir / "results.json").write_text(json.dumps(results, indent=2) + "\n")
@@ -408,4 +410,4 @@ def run_report(cfg: ExperimentConfig, out: Path) -> str:
     path = Path(out) / "eval" / "results.json"
     if not path.exists():
         raise DataError(f"{path} not found; run eval first")
-    return format_results(json.loads(path.read_text()))
+    return format_results(dataio.read_json(path))

@@ -424,6 +424,13 @@ def conv2d(x, kernels, bias=None) -> Tensor:
 
     x: (C_in, H, W); kernels: (C_out, C_in, kh, kw); bias: (C_out,) or None.
     Result: (C_out, H - kh + 1, W - kw + 1).
+
+    The input is unfolded channel-major (im2col): row ``(c, di, dj)`` of the
+    ``(C_in*kh*kw, oh*ow)`` column matrix holds the tap ``x[c, i+di, j+dj]``
+    for every output position ``(i, j)``.  Forward, the kernel gradient and
+    the column gradient are then one GEMM each whose results already have
+    the layout their consumer needs, and the input gradient is gathered by
+    ``kh*kw`` contiguous slice adds.
     """
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
@@ -441,21 +448,20 @@ def conv2d(x, kernels, bias=None) -> Tensor:
 
     oh, ow = h - kh + 1, w - kw + 1
     win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
-    cols = win.transpose(1, 2, 0, 3, 4).reshape(oh * ow, c_in * kh * kw)
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
     kmat = k.data.reshape(c_out, c_in * kh * kw)
-    out = (cols @ kmat.T).T.reshape(c_out, oh, ow)
+    out = (kmat @ cols).reshape(c_out, oh, ow)
     if b is not None:
         out = out + b.data[:, None, None]
 
     def bwd(g):
         gm = g.reshape(c_out, oh * ow)
-        gk = (gm @ cols).reshape(k.shape)
-        gcols = gm.T @ kmat  # (oh*ow, c_in*kh*kw)
-        gview = gcols.reshape(oh, ow, c_in, kh, kw)
+        gk = (gm @ cols.T).reshape(k.shape)
+        gview = (kmat.T @ gm).reshape(c_in, kh, kw, oh, ow)
         gx = np.zeros((c_in, h, w), dtype=g.dtype)
         for di in range(kh):
             for dj in range(kw):
-                gx[:, di:di + oh, dj:dj + ow] += gview[:, :, :, di, dj].transpose(2, 0, 1)
+                gx[:, di:di + oh, dj:dj + ow] += gview[:, di, dj]
         if b is None:
             return gx, gk
         return gx, gk, gm.sum(axis=1)

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polysed
 from polysed import dataio
 from polysed.capsnet import CapsNetConfig
 from polysed.cli import main
@@ -177,6 +180,20 @@ def test_eval_on_mismatched_hops_exits_2(ran_pipeline, capsys):
         pred.write_bytes(before)
 
 
+def test_eval_without_predictions_exits_2(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    pred = out / "pred"
+    hidden = out / "pred.hidden"
+    pred.rename(hidden)
+    try:
+        assert _run(cfg_path, out, "eval") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("polysed: error: data:") and "\n" not in err
+        assert str(pred) in err
+    finally:
+        hidden.rename(pred)
+
+
 def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     pred = out / "pred" / "logmel_16" / "val.pred"
@@ -208,9 +225,13 @@ def test_unknown_tfr_exits_1(ran_pipeline):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same package as this test, installed or not
+    src = str(Path(polysed.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "polysed", "synth", "--config",
                            "/nonexistent.cfg", "--out", "/tmp/nowhere"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 1
     assert "polysed: error: config:" in proc.stderr
 

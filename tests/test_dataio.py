@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from polysed.capsnet import CapsNetModel, home_config
+from polysed.capsnet import CapsNetConfig, CapsNetModel, home_config
 from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll,
                             generate_clip, read_annotations, read_checkpoint,
                             read_fusion_params, read_predictions, read_tfr, read_wav,
@@ -266,3 +266,62 @@ def test_fusion_params_exact_decimal_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.biases, params.biases)
     np.testing.assert_array_equal(back.thresholds, params.thresholds)
     assert back.block_len == 256
+
+
+# -- missing and truncated artifacts --------------------------------------------------------
+
+def _write_wav(path):
+    write_wav(AudioClip(np.linspace(-0.5, 0.5, 800).reshape(2, 400)), path)
+    return read_wav
+
+
+def _write_tfr(path):
+    write_tfr(extract(AudioClip(np.random.default_rng(0).uniform(-1, 1, (2, 4000))),
+                      logmel_config(8)), path)
+    return read_tfr
+
+
+def _write_checkpoint(path):
+    config = CapsNetConfig(cnn_kernels=(2,), cnn_kernel_dim=3, pool_dims=(2,),
+                           n_primary_caps=2, primary_cap_dim=2, output_cap_dim=2,
+                           routing_iters=1, n_events=2)
+    write_checkpoint(CapsNetModel.build(config, freq_bins=8, channels=2, rng=SeededRng(0)),
+                     path, history=[{"epoch": 1}])
+    return read_checkpoint
+
+
+def _write_predictions(path):
+    write_predictions(np.full((40, 2), 0.5, dtype=np.float32), 0.02, ["a", "b"], path)
+    return read_predictions
+
+
+def _write_fusion_params(path):
+    write_fusion_params(FusionParams(weights=np.ones(2), biases=np.zeros(2),
+                                     thresholds=np.full(2, 0.5)), path)
+    return read_fusion_params
+
+
+ARTIFACT_WRITERS = {"wav": _write_wav, "tfr": _write_tfr, "ckpt": _write_checkpoint,
+                    "pred": _write_predictions, "json": _write_fusion_params}
+
+
+@pytest.mark.parametrize("suffix", sorted(ARTIFACT_WRITERS))
+def test_reader_rejects_missing_file(tmp_path, suffix):
+    path = tmp_path / f"absent.{suffix}"
+    reader = ARTIFACT_WRITERS[suffix](tmp_path / f"present.{suffix}")
+    with pytest.raises(DataError, match=str(path)):
+        reader(path)
+
+
+@pytest.mark.parametrize("cut", ["empty", "magic", "header", "half", "last_bytes"])
+@pytest.mark.parametrize("suffix", sorted(ARTIFACT_WRITERS))
+def test_reader_rejects_truncated_file(tmp_path, suffix, cut):
+    path = tmp_path / f"artifact.{suffix}"
+    reader = ARTIFACT_WRITERS[suffix](path)
+    raw = path.read_bytes()
+    reader(path)  # the intact file reads
+    keep = {"empty": 0, "magic": 3, "header": 10, "half": len(raw) // 2,
+            "last_bytes": len(raw) - 2}[cut]
+    path.write_bytes(raw[:keep])
+    with pytest.raises(DataError, match=str(path)):
+        reader(path)

@@ -172,8 +172,11 @@ def test_logmel_matches_filterbank_times_stft():
     lm = logmel(clip, cfg)
     mag = stft_magnitude(clip, stft_config(cfg.n_fft))
     fb = build_mel_filterbank(64, cfg.n_fft)
-    expected = np.log(np.einsum("tfc,nf->tnc", mag.values, fb.matrix) + cfg.log_floor)
+    expected = np.log(np.matmul(fb.matrix, mag.values) + cfg.log_floor)
     np.testing.assert_array_equal(lm.values, expected)
+    # independent of the projection's BLAS path: the plain per-frame sum
+    independent = np.log(np.einsum("tfc,nf->tnc", mag.values, fb.matrix) + cfg.log_floor)
+    np.testing.assert_allclose(lm.values, independent, rtol=1e-12, atol=0)
     assert lm.n_frames == mag.n_frames
 
 

@@ -157,6 +157,65 @@ def test_gradcheck_maxpool():
     _gradcheck(lambda p: T.tsum(T.square(T.maxpool_last(p, 2))), rng.normal(size=(2, 3, 8)))
 
 
+def _conv2d_per_tap(x, k, b, g):
+    """Direct loop over the kernel taps: forward and the gradients of
+    sum(g * conv2d(x, k, b)) with respect to x, k and b."""
+    c_out, _, kh, kw = k.shape
+    oh, ow = x.shape[1] - kh + 1, x.shape[2] - kw + 1
+    out = np.broadcast_to(b[:, None, None], (c_out, oh, ow)).copy()
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    for di in range(kh):
+        for dj in range(kw):
+            patch = x[:, di:di + oh, dj:dj + ow]
+            out += np.tensordot(k[:, :, di, dj], patch, axes=(1, 0))
+            gk[:, :, di, dj] = np.tensordot(g, patch, axes=([1, 2], [1, 2]))
+            gx[:, di:di + oh, dj:dj + ow] += np.tensordot(k[:, :, di, dj], g, axes=(0, 0))
+    return out, gx, gk, g.sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("kernel,h,w", [(3, 11, 9), (6, 13, 10)])
+@pytest.mark.parametrize("c_in", [1, 2, 8])
+def test_conv2d_matches_per_tap_loop(c_in, kernel, h, w, dtype, tol):
+    rng = np.random.default_rng(100 * c_in + kernel)
+    c_out = 3
+    x0 = rng.normal(size=(c_in, h, w)).astype(dtype)
+    k0 = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+    b0 = rng.normal(size=(c_out,)).astype(dtype)
+    g0 = rng.normal(size=(c_out, h - kernel + 1, w - kernel + 1)).astype(dtype)
+    x, k, b = (Tensor(a, requires_grad=True) for a in (x0, k0, b0))
+    out = T.conv2d(x, k, b)
+    grads = gradients(T.tsum(T.mul(out, Tensor(g0))), {"x": x, "k": k, "b": b})
+    expected = _conv2d_per_tap(*(a.astype(np.float64) for a in (x0, k0, b0, g0)))
+    for got, ref in zip((out.numpy(), grads["x"], grads["k"], grads["b"]), expected):
+        assert got.dtype == dtype and got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_relu_commutes_with_maxpool(dtype):
+    """relu(maxpool(x)) and maxpool(relu(x)) agree on values and input
+    gradients, blocks with ties, only negatives and exact zeros included
+    (a zero gradient may differ in sign, which compares equal)."""
+    blocks = np.array([[0.5, 0.5, -1.0], [2.0, -3.0, 2.0], [-1.0, -2.0, -0.5],
+                       [-0.5, -0.5, -4.0], [0.0, -1.0, 0.0], [0.0, 0.0, 0.0],
+                       [-1.0, 0.0, 0.0], [0.25, 1.5, 0.75]])
+    rng = np.random.default_rng(19)
+    x0 = np.concatenate([blocks.ravel(), rng.normal(size=24)]).reshape(2, 2, 12).astype(dtype)
+    g0 = rng.normal(size=(2, 2, 4)).astype(dtype)
+    results = []
+    for build in (lambda p: T.relu(T.maxpool_last(p, 3)),
+                  lambda p: T.maxpool_last(T.relu(p), 3)):
+        p = Tensor(x0, requires_grad=True)
+        out = build(p)
+        grad = gradients(T.tsum(T.mul(out, Tensor(g0))), {"p": p})["p"]
+        results.append((out.numpy(), grad))
+    (v1, g1), (v2, g2) = results
+    np.testing.assert_array_equal(v1, v2)
+    np.testing.assert_array_equal(g1, g2)
+
+
 def test_gradcheck_concat():
     rng = np.random.default_rng(17)
     other = Tensor(rng.normal(size=(2, 4)))
