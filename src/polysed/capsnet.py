@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .dsp import WINDOW_FRAMES
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .metrics import EventRoll, SegmentCounts, error_rate, segment_counts
+from .metrics import EventRoll, error_rate, segment_counts
 from .optim import AdaDeltaState, adadelta_step
 from .rng import SeededRng
 from .tensor import Tensor, gradients, no_grad
@@ -324,14 +324,12 @@ class TrainResult:
 
 def _validation_error_rate(model: CapsNetModel, windows: list[WindowExample],
                            hop_seconds: float, labels: list[str]) -> float:
-    parts = []
-    for w in windows:
-        act = model.predict(w.values).values[:w.valid]
-        pred = (act >= 0.5).astype(np.uint8)
-        truth = w.target[:w.valid]
-        parts.append(segment_counts(EventRoll(truth, hop_seconds, labels),
-                                    EventRoll(pred, hop_seconds, labels)))
-    return error_rate(SegmentCounts.merge(parts))
+    act = np.concatenate([model.predict(w.values).values[:w.valid] for w in windows])
+    truth = np.concatenate([w.target[:w.valid] for w in windows])
+    pred = (act >= 0.5).astype(np.uint8)
+    return error_rate(segment_counts(EventRoll(truth, hop_seconds, labels),
+                                     EventRoll(pred, hop_seconds, labels),
+                                     lengths=[w.valid for w in windows]))
 
 
 def train(model: CapsNetModel, train_windows: list[WindowExample],

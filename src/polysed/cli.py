@@ -106,7 +106,6 @@ def main(argv=None) -> int:
 def _override_seed(cfg, seed: int):
     synth = cfg.dataset.synth
     cfg.dataset.synth = type(synth)(**{**synth.__dict__, "seed": seed})
-    cfg.seed = seed
     return cfg
 
 

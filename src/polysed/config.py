@@ -57,7 +57,10 @@ class ExperimentConfig:
     models: dict[str, CapsNetConfig]
     train: TrainConfig
     fusion: FusionConfig
-    seed: int
+
+    @property
+    def seed(self) -> int:
+        return self.dataset.synth.seed
 
     @property
     def vocabulary(self) -> list[str]:
@@ -251,5 +254,4 @@ def load_config(path) -> ExperimentConfig:
     for tfr in fusion.tfrs:
         if tfr not in models:
             raise ConfigError(f"{path}: fusion references {tfr!r} but no [model {tfr}] section exists")
-    return ExperimentConfig(dataset=dataset, models=models, train=train,
-                            fusion=fusion, seed=dataset.synth.seed)
+    return ExperimentConfig(dataset=dataset, models=models, train=train, fusion=fusion)

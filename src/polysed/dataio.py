@@ -21,14 +21,17 @@ Formats (all little-endian, all round-trip exactly as documented):
 
 Every reader goes through :func:`read_file` and checks each size and offset
 against its header, so a missing, truncated or corrupt artifact raises
-:class:`DataError` naming the path.
+:class:`DataError` naming the path.  Every writer goes through
+:func:`write_file`, so a killed process never leaves a half-written file.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +53,22 @@ def read_file(path) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
+
+
+def write_file(path, data: bytes | str) -> None:
+    """Replace the file with `data` (str as UTF-8) through a sibling temp
+    file and os.replace, creating the parent directory; a failed write
+    leaves the old file and is a DataError naming the path."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
 
 
 def read_text(path) -> str:
@@ -130,7 +149,7 @@ def write_wav(clip: AudioClip, path) -> None:
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, clip.sample_rate,
                                     byte_rate, channels * 2, 16)
     header += b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + payload)
+    write_file(path, header + payload)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +192,7 @@ def read_annotations(path, vocabulary: list[str] | None = None) -> Annotation:
 def write_annotations(ann: Annotation, path) -> None:
     lines = [f"{onset:.3f}\t{offset:.3f}\t{label}"
              for onset, offset, label in sorted(ann.events)]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    write_file(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def annotation_to_roll(ann: Annotation, hop: float, n_frames: int,
@@ -381,7 +400,7 @@ def write_tfr(tfr: Tfr, path) -> None:
         tfr.n_frames, cfg.n_fft, cfg.n_mels or 0, cfg.hop_ms, cfg.frame_len_ms,
         cfg.log_floor)
     body = tfr.values.astype("<f4").tobytes()
-    Path(path).write_bytes(header + body)
+    write_file(path, header + body)
 
 
 def read_tfr(path) -> Tfr:
@@ -427,18 +446,7 @@ def write_checkpoint(model: CapsNetModel, path, history: list | None = None,
         offset += len(blob)
     header = {
         "format_version": 1,
-        "config": {
-            "cnn_kernels": list(model.config.cnn_kernels),
-            "cnn_kernel_dim": model.config.cnn_kernel_dim,
-            "pool_dims": list(model.config.pool_dims),
-            "n_primary_caps": model.config.n_primary_caps,
-            "primary_cap_dim": model.config.primary_cap_dim,
-            "output_cap_dim": model.config.output_cap_dim,
-            "routing_iters": model.config.routing_iters,
-            "n_events": model.config.n_events,
-            "dropout_rate": model.config.dropout_rate,
-            "l2_weight": model.config.l2_weight,
-        },
+        "config": asdict(model.config),
         "freq_bins": model.freq_bins,
         "channels": model.channels,
         "dtype": str(model.dtype),
@@ -447,8 +455,7 @@ def write_checkpoint(model: CapsNetModel, path, history: list | None = None,
         "params": manifest,
     }
     head = json.dumps(header).encode("utf-8")
-    Path(path).write_bytes(_CKPT_MAGIC + struct.pack("<IQ", 1, len(head))
-                           + head + b"".join(blobs))
+    write_file(path, _CKPT_MAGIC + struct.pack("<IQ", 1, len(head)) + head + b"".join(blobs))
 
 
 def read_checkpoint(path) -> tuple[CapsNetModel, dict]:
@@ -498,7 +505,7 @@ def write_predictions(scores: np.ndarray, hop: float, labels: list[str], path) -
     label_block = json.dumps(labels).encode("utf-8")
     header = _PRED_MAGIC + struct.pack("<IIId", 1, scores.shape[0], scores.shape[1], hop)
     header += struct.pack("<I", len(label_block)) + label_block
-    Path(path).write_bytes(header + scores.astype("<f4").tobytes())
+    write_file(path, header + scores.astype("<f4").tobytes())
 
 
 def read_predictions(path) -> tuple[np.ndarray, float, list[str]]:
@@ -532,7 +539,7 @@ def write_fusion_params(params: FusionParams, path, grid_note: str = "") -> None
         "block_len": params.block_len,
         "grid": grid_note,
     }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    write_file(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_fusion_params(path) -> FusionParams:

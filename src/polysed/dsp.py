@@ -152,7 +152,6 @@ class TfrWindow:
     """A fixed 256-frame slice of a Tfr; the padded tail keeps a valid count."""
 
     values: np.ndarray           # (WINDOW_FRAMES, freq_bins, channels)
-    clip_id: str
     start_frame: int
     valid: int
 
@@ -277,7 +276,7 @@ def extract(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     return logmel(clip, cfg)
 
 
-def window_tfr(tfr: Tfr, clip_id: str = "") -> list[TfrWindow]:
+def window_tfr(tfr: Tfr) -> list[TfrWindow]:
     """Cut into consecutive 256-frame windows; the last one is zero-padded."""
     t = tfr.n_frames
     windows = []
@@ -288,5 +287,5 @@ def window_tfr(tfr: Tfr, clip_id: str = "") -> list[TfrWindow]:
             padded = np.zeros((WINDOW_FRAMES,) + chunk.shape[1:], dtype=chunk.dtype)
             padded[:valid] = chunk
             chunk = padded
-        windows.append(TfrWindow(values=chunk, clip_id=clip_id, start_frame=start, valid=valid))
+        windows.append(TfrWindow(values=chunk, start_frame=start, valid=valid))
     return windows

@@ -19,10 +19,11 @@ The search scores every trial on cached per-segment maxima instead of
 re-thresholding and re-counting the whole split.  An event is active in a
 segment iff some frame there reaches its threshold, that is iff the
 segment's maximum fused score does; and per segment S + D + I = max(FN, FP).
-So the maxima of the fused scores over the segments of the block layout are
-enough to count the errors of any threshold exactly, in integers.  Only a
-bias trial changes the fused scores and recomputes the maxima; a threshold
-trial compares one event column of them against the candidate.
+So the maxima of the fused scores over the segments of the block layout
+(``metrics.segment_starts`` of the block lengths) are enough to count the
+errors of any threshold exactly, in integers.  Only a bias trial changes the
+fused scores and recomputes the maxima; a threshold trial compares one event
+column of them against the candidate.
 ``fitted_error_rate`` and ``blockwise_counts`` remain the reference
 definition of the fitted error rate that the search reproduces.
 """
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
 from .metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
-                      segment_counts)
+                      segment_counts, segment_starts)
 
 MSE_CLAMP = 1e-12
 BIAS_GRID = tuple(round(-0.2 + 0.05 * i, 2) for i in range(9))        # -0.2 .. 0.2
@@ -145,17 +146,17 @@ def apply_threshold(fused: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (fused >= thresholds[None, :]).astype(np.uint8)
 
 
+def _block_lengths(n_frames: int, block_len: int) -> np.ndarray:
+    """Frame counts of the contiguous blocks of block_len frames (the last
+    one short) that the fitted error rate is counted over."""
+    return np.diff(np.append(np.arange(0, n_frames, block_len), n_frames))
+
+
 def blockwise_counts(pred_roll: np.ndarray, truth: np.ndarray, hop: float,
                      block_len: int, labels: list[str]) -> SegmentCounts:
-    """Segment counts accumulated over contiguous blocks of block_len frames."""
-    t_total = truth.shape[0]
-    parts = []
-    for start in range(0, t_total, block_len):
-        stop = min(start + block_len, t_total)
-        parts.append(segment_counts(
-            EventRoll(truth[start:stop], hop, labels),
-            EventRoll(pred_roll[start:stop], hop, labels)))
-    return SegmentCounts.merge(parts)
+    """Segment counts over contiguous blocks of block_len frames."""
+    return segment_counts(EventRoll(truth, hop, labels), EventRoll(pred_roll, hop, labels),
+                          lengths=_block_lengths(truth.shape[0], block_len))
 
 
 def fitted_error_rate(preds: PredictionSet, params: FusionParams) -> float:
@@ -163,16 +164,6 @@ def fitted_error_rate(preds: PredictionSet, params: FusionParams) -> float:
     roll = apply_threshold(fused, params.thresholds)
     counts = blockwise_counts(roll, preds.truth, preds.hop, params.block_len, preds.labels)
     return error_rate(counts)
-
-
-def _segment_starts(n_frames: int, block_len: int, frames_per_seg: int) -> np.ndarray:
-    """First frame of every segment when blocks of block_len frames are each
-    cut into segments of frames_per_seg frames, as blockwise_counts does
-    (short last segment per block, short last block)."""
-    blocks = np.arange(0, n_frames, block_len)
-    offsets = np.arange(0, min(block_len, n_frames), frames_per_seg)
-    starts = (blocks[:, None] + offsets[None, :]).ravel()
-    return starts[starts < n_frames]
 
 
 def _segment_errors(ref: np.ndarray, active: np.ndarray) -> int:
@@ -194,10 +185,11 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
     or after MAX_SWEEP_ROUNDS rounds.
 
     Every trial is scored on the per-segment maxima of the fused scores over
-    the segments ``fitted_error_rate`` counts: thresholding the maxima gives
-    exactly the segment activity of the thresholded frames, so the integer
-    error count sum(max(FN, FP)) over N orders the trials exactly as
-    ``fitted_error_rate`` does, and the result is the same.  A bias trial
+    the segments ``fitted_error_rate`` counts, which start where
+    ``metrics.segment_starts`` of the block lengths says: thresholding the
+    maxima gives exactly the segment activity of the thresholded frames, so
+    the integer error count sum(max(FN, FP)) over N orders the trials exactly
+    as ``fitted_error_rate`` does, and the result is the same.  A bias trial
     fuses the split once and takes the maxima; a threshold trial reuses the
     maxima of the current biases.
     """
@@ -214,7 +206,8 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
         warnings.warn("ground truth has no active events; returning default fusion parameters")
         return FusionParams(weights, biases, thresholds, block_len)
 
-    starts = _segment_starts(preds.truth.shape[0], block_len, frames_per_segment(preds.hop))
+    starts = segment_starts(_block_lengths(preds.truth.shape[0], block_len),
+                            frames_per_segment(preds.hop))
     ref = np.logical_or.reduceat(preds.truth != 0, starts, axis=0)
 
     def segment_maxima(b):

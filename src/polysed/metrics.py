@@ -2,6 +2,9 @@
 
 Prediction and reference event rolls are compared segment by segment: an
 event counts as active in a segment when any of its frames there is active.
+A roll may be the concatenation of consecutive pieces (clips, fitting
+blocks or model windows); each piece is cut into segments from its own
+first frame, so no segment straddles two pieces.
 Per segment, with FN false negatives and FP false positives across events,
 
     substitutions S = min(FN, FP)
@@ -12,8 +15,8 @@ and the error rate is (sum S + sum D + sum I) / (sum N), N being the number
 of reference-active events per segment.  These are the standard DCASE-style
 segment counts: substitutions pair up FN/FP inside a segment, and deletions
 and insertions are what remains after that pairing.  The rate can exceed 1
-when spurious detections outnumber the reference events.  A final partial
-segment is evaluated like any other.
+when spurious detections outnumber the reference events.  The final partial
+segment of each piece is evaluated like any other.
 """
 from __future__ import annotations
 
@@ -94,26 +97,33 @@ def frames_per_segment(hop: float, segment_sec: float = 1.0) -> int:
     return max(1, int(round(segment_sec / hop)))
 
 
-def segment_counts(ref: EventRoll, pred: EventRoll, segment_sec: float = 1.0) -> SegmentCounts:
-    """Count S/D/I/N per one-second segment of a single clip."""
+def segment_starts(lengths, frames_per_seg: int) -> np.ndarray:
+    """First frame of every segment of a roll made of consecutive pieces of
+    the given frame counts; segments restart at each piece, whose last one
+    may be short."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n_seg = -(-lengths // frames_per_seg)
+    first_seg = np.cumsum(n_seg) - n_seg
+    within = np.arange(n_seg.sum()) - np.repeat(first_seg, n_seg)
+    return np.repeat(np.cumsum(lengths) - lengths, n_seg) + within * frames_per_seg
+
+
+def segment_counts(ref: EventRoll, pred: EventRoll, lengths=None) -> SegmentCounts:
+    """Count S/D/I/N per one-second segment of a roll made of consecutive
+    pieces of the given frame counts (default: one piece, a single clip)."""
     if ref.values.shape != pred.values.shape:
         raise ShapeError(f"roll shapes differ: {ref.values.shape} vs {pred.values.shape}")
     if ref.hop != pred.hop:
         raise DataError(f"hop mismatch: {ref.hop} vs {pred.hop}")
     if ref.labels != pred.labels:
         raise DataError(f"label mismatch: {ref.labels} vs {pred.labels}")
+    lengths = np.asarray([ref.n_frames] if lengths is None else lengths, dtype=np.int64)
+    if lengths.sum() != ref.n_frames or (lengths < 0).any():
+        raise ShapeError(f"piece lengths {lengths.tolist()} do not tile {ref.n_frames} frames")
 
-    fps = frames_per_segment(ref.hop, segment_sec)
-    t = ref.n_frames
-    n_seg = (t + fps - 1) // fps
-    pad = n_seg * fps - t
-
-    def seg_active(roll):
-        padded = np.pad(roll.values, ((0, pad), (0, 0)))
-        return padded.reshape(n_seg, fps, roll.n_events).any(axis=1)
-
-    r = seg_active(ref)
-    p = seg_active(pred)
+    starts = segment_starts(lengths, frames_per_segment(ref.hop))
+    r = np.logical_or.reduceat(ref.values, starts, axis=0)
+    p = np.logical_or.reduceat(pred.values, starts, axis=0)
     fn = (r & ~p).sum(axis=1)
     fp = (~r & p).sum(axis=1)
     s = np.minimum(fn, fp)

@@ -116,16 +116,13 @@ def run_synth(cfg: ExperimentConfig, out: Path) -> list[tuple[str, str]]:
     for clip_id, clip, ann in ev:
         rows.append((clip_id, "eval"))
         _write_clip(out, "eval", clip_id, clip, ann)
-    manifest_path(out).parent.mkdir(parents=True, exist_ok=True)
-    manifest_path(out).write_text("".join(f"{cid}\t{split}\n" for cid, split in rows))
+    dataio.write_file(manifest_path(out), "".join(f"{cid}\t{split}\n" for cid, split in rows))
     return rows
 
 
 def _write_clip(out, split, clip_id, clip, ann):
-    directory = _corpus_dir(out) / split
-    directory.mkdir(parents=True, exist_ok=True)
-    dataio.write_wav(clip, directory / f"{clip_id}.wav")
-    dataio.write_annotations(ann, directory / f"{clip_id}.txt")
+    dataio.write_wav(clip, _wav_path(out, split, clip_id))
+    dataio.write_annotations(ann, _ann_path(out, split, clip_id))
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +141,7 @@ def run_extract(cfg: ExperimentConfig, tfr_name: str, out: Path, jobs: int = 1) 
         clip = dataio.read_wav(_wav_path(out, split, clip_id))
         clip = dsp.ensure_binaural(dsp.normalize(clip))
         tfr = dsp.extract(clip, tfr_cfg)
-        path = _tfr_path(out, tfr_name, split, clip_id)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        dataio.write_tfr(tfr, path)
+        dataio.write_tfr(tfr, _tfr_path(out, tfr_name, split, clip_id))
 
     rows = read_manifest(out)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -170,7 +165,7 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
         roll = _clip_roll(cfg, out, split, clip_id, tfr.n_frames, tfr.hop_seconds)
-        for win in dsp.window_tfr(tfr, clip_id):
+        for win in dsp.window_tfr(tfr):
             target = np.zeros((dsp.WINDOW_FRAMES, roll.n_events), dtype=np.uint8)
             target[:win.valid] = roll.values[win.start_frame:win.start_frame + win.valid]
             examples.append(WindowExample(values=win.values, target=target, valid=win.valid))
@@ -241,13 +236,11 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path,
         parts = []
         for clip_id in clips_for_split(out, split):
             tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
-            for win in dsp.window_tfr(tfr, clip_id):
+            for win in dsp.window_tfr(tfr):
                 act = model.predict(win.values).values
                 parts.append(act[:win.valid])
         scores = np.concatenate(parts, axis=0)
-        path = _pred_path(out, tfr_name, split)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        dataio.write_predictions(scores, hop, cfg.vocabulary, path)
+        dataio.write_predictions(scores, hop, cfg.vocabulary, _pred_path(out, tfr_name, split))
         written[split] = scores.shape
     return written
 
@@ -294,7 +287,6 @@ def run_fuse_fit(cfg: ExperimentConfig, out: Path, fit_split: str = "val") -> di
     """Fit per-feature and joint fusion parameters on the fitting split."""
     out = Path(out)
     fusion_dir = out / "fusion"
-    fusion_dir.mkdir(parents=True, exist_ok=True)
     results = {"fit_split": fit_split, "single": {}, "fused": {}}
 
     scores, truth, _, hop = _load_split(cfg, out, fit_split, cfg.fusion.tfrs)
@@ -314,7 +306,7 @@ def run_fuse_fit(cfg: ExperimentConfig, out: Path, fit_split: str = "val") -> di
         "er": fitted_error_rate(pset_all, fused_params),
         "weights": [float(w) for w in fused_params.weights],
     }
-    (fusion_dir / "fit_results.json").write_text(json.dumps(results, indent=2) + "\n")
+    dataio.write_file(fusion_dir / "fit_results.json", json.dumps(results, indent=2) + "\n")
     return results
 
 
@@ -328,9 +320,7 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path,
         scores, truth, _, hop = _load_split(cfg, out, split, cfg.fusion.tfrs)
         fused = fuse(PredictionSet(predictions=scores, truth=truth, hop=hop,
                                    labels=list(cfg.vocabulary)), params)
-        path = _pred_path(out, "fused", split)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        dataio.write_predictions(fused, hop, cfg.vocabulary, path)
+        dataio.write_predictions(fused, hop, cfg.vocabulary, _pred_path(out, "fused", split))
         written[split] = fused.shape
     return written
 
@@ -338,18 +328,6 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path,
 # ---------------------------------------------------------------------------
 # eval / report
 # ---------------------------------------------------------------------------
-
-def _per_clip_counts(roll_flat: np.ndarray, truth_flat: np.ndarray, counts: list[int],
-                     hop: float, labels: list[str]) -> SegmentCounts:
-    parts = []
-    start = 0
-    for n in counts:
-        parts.append(segment_counts(
-            EventRoll(truth_flat[start:start + n], hop, labels),
-            EventRoll(roll_flat[start:start + n], hop, labels)))
-        start += n
-    return SegmentCounts.merge(parts)
-
 
 def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
     """Score every system on one split; writes results.json and report.txt."""
@@ -370,17 +348,17 @@ def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
                                    labels=list(cfg.vocabulary))
             roll = apply_threshold(fuse(single, params), params.thresholds)
             kind = "single"
-        counts = _per_clip_counts(roll, truth, clip_counts, hop, cfg.vocabulary)
+        counts = segment_counts(EventRoll(truth, hop, cfg.vocabulary),
+                                EventRoll(roll, hop, cfg.vocabulary), lengths=clip_counts)
         systems.append(_system_entry(name, kind, counts))
 
     results = {"split": split, "systems": systems}
     fit_path = out / "fusion" / "fit_results.json"
     if fit_path.exists():
         results["fit"] = dataio.read_json(fit_path)
-    eval_dir = out / "eval"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    (eval_dir / "results.json").write_text(json.dumps(results, indent=2) + "\n")
-    (eval_dir / "report.txt").write_text(format_results(results) + "\n")
+    report = _format_stored(results, fit_path)
+    dataio.write_file(out / "eval" / "results.json", json.dumps(results, indent=2) + "\n")
+    dataio.write_file(out / "eval" / "report.txt", report + "\n")
     return results
 
 
@@ -406,8 +384,17 @@ def format_results(results: dict) -> str:
     return "\n".join(lines)
 
 
+def _format_stored(results, path) -> str:
+    """format_results of results read from `path`; a missing key or a value
+    of the wrong type there is a DataError naming it."""
+    try:
+        return format_results(results)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed results ({type(exc).__name__}: {exc})") from None
+
+
 def run_report(cfg: ExperimentConfig, out: Path) -> str:
     path = Path(out) / "eval" / "results.json"
     if not path.exists():
         raise DataError(f"{path} not found; run eval first")
-    return format_results(dataio.read_json(path))
+    return _format_stored(dataio.read_json(path), path)

@@ -194,6 +194,61 @@ def test_eval_without_predictions_exits_2(ran_pipeline, capsys):
         hidden.rename(pred)
 
 
+def _exits_2_naming(path, capsys, *run):
+    assert _run(*run) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("polysed: error: data:") and "\n" not in err
+    assert str(path) in err
+
+
+@pytest.mark.parametrize("doc", [{"split": "eval"}, {"split": "eval", "systems": "x"}, [],
+                                 {"split": "eval", "systems": [{"name": "a", "kind": "single"}]},
+                                 {"split": "eval", "systems": [], "fit": {"fit_split": "val",
+                                                                          "single": []}}])
+def test_report_on_malformed_results_exits_2(ran_pipeline, capsys, doc):
+    cfg_path, out = ran_pipeline
+    path = out / "eval" / "results.json"
+    before = path.read_bytes()
+    path.write_text(json.dumps(doc))
+    try:
+        _exits_2_naming(path, capsys, cfg_path, out, "report")
+    finally:
+        path.write_bytes(before)
+
+
+@pytest.mark.parametrize("doc", [{"fit_split": "val"},
+                                 {"fit_split": "val", "single": {"logmel_16": "x"},
+                                  "fused": {"tfrs": [], "er": 0.5}}])
+def test_eval_on_malformed_fit_results_exits_2(ran_pipeline, capsys, doc):
+    cfg_path, out = ran_pipeline
+    path = out / "fusion" / "fit_results.json"
+    before = path.read_bytes()
+    stored = (out / "eval" / "results.json").read_bytes()
+    path.write_text(json.dumps(doc))
+    try:
+        _exits_2_naming(path, capsys, cfg_path, out, "eval")
+        assert (out / "eval" / "results.json").read_bytes() == stored
+    finally:
+        path.write_bytes(before)
+
+
+def test_seed_option_reaches_corpus_and_checkpoint(ran_pipeline, tmp_path):
+    cfg_path, seeded_77 = ran_pipeline
+    seeded_5 = tmp_path / "seed5"
+    for argv in (["synth"], ["extract", "--tfr", "logmel_16"], ["train", "--tfr", "logmel_16"]):
+        assert _run(cfg_path, seeded_5, *argv, "--seed", "5") == 0
+    cfg_5 = tmp_path / "seed5.cfg"
+    cfg_5.write_text(TINY_CFG.replace("seed = 77", "seed = 5"))
+    assert _run(cfg_5, tmp_path / "cfg5", "synth") == 0
+
+    def corpus(out):
+        return {p.relative_to(out): p.read_bytes() for p in (out / "corpus").rglob("*.*")}
+
+    assert corpus(seeded_5) == corpus(tmp_path / "cfg5") != corpus(seeded_77)
+    _, header = dataio.read_checkpoint(seeded_5 / "models" / "logmel_16.ckpt")
+    assert header["provenance"]["seed"] == 5
+
+
 def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     pred = out / "pred" / "logmel_16" / "val.pred"

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -9,7 +10,7 @@ from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll
                             read_fusion_params, read_predictions, read_tfr, read_wav,
                             synthesize_dataset, write_annotations,
                             write_checkpoint, write_fusion_params, write_predictions,
-                            write_tfr, write_wav)
+                            write_file, write_tfr, write_wav)
 from polysed.dsp import AudioClip, extract, logmel_config
 from polysed.errors import DataError
 from polysed.fusion import FusionParams
@@ -325,3 +326,26 @@ def test_reader_rejects_truncated_file(tmp_path, suffix, cut):
     path.write_bytes(raw[:keep])
     with pytest.raises(DataError, match=str(path)):
         reader(path)
+
+
+@pytest.mark.parametrize("suffix", sorted(ARTIFACT_WRITERS))
+def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, suffix):
+    path = tmp_path / f"artifact.{suffix}"
+    path.write_bytes(b"old bytes")
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(DataError, match=str(path)):
+        ARTIFACT_WRITERS[suffix](path)
+    assert path.read_bytes() == b"old bytes"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_write_file_creates_the_directory_and_replaces(tmp_path):
+    path = tmp_path / "a" / "b" / "out.txt"
+    write_file(path, "first\n")
+    write_file(path, b"second\n")
+    assert path.read_bytes() == b"second\n"
+    assert list(path.parent.iterdir()) == [path]

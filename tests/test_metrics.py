@@ -5,7 +5,7 @@ from helpers import segment_counts_oracle
 
 from polysed.errors import DataError, ShapeError
 from polysed.metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
-                             segment_counts)
+                             segment_counts, segment_starts)
 
 LABELS3 = ["a", "b", "c"]
 
@@ -94,6 +94,19 @@ def test_invalid_roll_values():
         _roll([[2]])
 
 
+def _oracle_per_piece(ref_m, pred_m, lengths, frames_per_seg):
+    """The brute-force oracle applied to each piece, lists concatenated."""
+    out = ([], [], [], [])
+    start = 0
+    for length in lengths:
+        piece = segment_counts_oracle(ref_m[start:start + length],
+                                      pred_m[start:start + length], frames_per_seg)
+        for acc, part in zip(out, piece):
+            acc.extend(part)
+        start += length
+    return out
+
+
 def test_matches_bruteforce_oracle():
     rng = np.random.default_rng(1234)
     for _ in range(150):
@@ -103,12 +116,25 @@ def test_matches_bruteforce_oracle():
         density = rng.uniform(0.05, 0.5)
         ref_m = (rng.uniform(size=(t, n)) < density).astype(int)
         pred_m = (rng.uniform(size=(t, n)) < density).astype(int)
-        c = segment_counts(_roll(ref_m, hop=hop), _roll(pred_m, hop=hop))
-        s, d, i, nn = segment_counts_oracle(ref_m, pred_m, frames_per_segment(hop))
-        assert list(c.s) == s
-        assert list(c.d) == d
-        assert list(c.i) == i
-        assert list(c.n) == nn
+        fps = frames_per_segment(hop)
+        cuts = np.sort(rng.integers(0, t + 1, size=int(rng.integers(0, 6))))
+        lengths = np.diff(np.concatenate(([0], cuts, [t]))).tolist()  # zero lengths too
+        for pieces, expected in [(None, segment_counts_oracle(ref_m, pred_m, fps)),
+                                 (lengths, _oracle_per_piece(ref_m, pred_m, lengths, fps))]:
+            c = segment_counts(_roll(ref_m, hop=hop), _roll(pred_m, hop=hop), lengths=pieces)
+            assert (list(c.s), list(c.d), list(c.i), list(c.n)) == tuple(expected)
+
+
+@pytest.mark.parametrize("lengths", [[50], [60, 1], [30, 40, -10], []])
+def test_lengths_that_do_not_tile_the_roll_raise(lengths):
+    m = np.ones((60, 1), dtype=int)
+    with pytest.raises(ShapeError):
+        segment_counts(_roll(m, hop=0.02), _roll(m, hop=0.02), lengths=lengths)
+
+
+def test_segment_starts_restart_at_each_piece():
+    assert segment_starts([120, 0, 30, 50], 50).tolist() == [0, 50, 100, 120, 150]
+    assert segment_starts([], 50).tolist() == []
 
 
 def test_label_permutation_invariance():
