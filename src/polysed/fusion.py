@@ -133,9 +133,12 @@ def fuse(preds: PredictionSet, params: FusionParams) -> np.ndarray:
         raise DataError("fusion weights must be positive")
     wn = w / w.sum()  # normalizing first keeps m=1 an exact identity
     acc = np.zeros_like(preds.predictions[0])
+    term = np.empty_like(acc)  # one scratch buffer, reused for every detector
     for k, p in enumerate(preds.predictions):
-        acc += wn[k] * (p - params.biases[k])
-    return np.clip(acc, 0.0, 1.0)
+        np.subtract(p, params.biases[k], out=term)
+        np.multiply(wn[k], term, out=term)
+        acc += term
+    return np.clip(acc, 0.0, 1.0, out=acc)
 
 
 def apply_threshold(fused: np.ndarray, thresholds: np.ndarray) -> np.ndarray:

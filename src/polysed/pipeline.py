@@ -176,6 +176,39 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
 # train
 # ---------------------------------------------------------------------------
 
+def _lock_owner_gone(lock: Path) -> bool:
+    """True only if `lock` holds the pid of a process that no longer exists."""
+    try:
+        pid = int(lock.read_text())
+        if pid > 0:
+            os.kill(pid, 0)  # signal 0 checks that the process exists
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # unreadable, not a pid, or a process we may not signal
+    return False
+
+
+def _claim_lock(lock: Path) -> None:
+    """Create `lock` holding this process's pid.
+
+    A lock whose pid is gone was left by a killed job: it is removed and the
+    claim retried once.  A lock held by a live process, or one without a
+    readable pid, is a DataError.
+    """
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if not retry and _lock_owner_gone(lock):
+                lock.unlink(missing_ok=True)
+                continue
+            raise DataError(f"{lock} exists; another training job owns this output") from None
+        with os.fdopen(fd, "w") as f:
+            f.write(f"{os.getpid()}\n")
+        return
+
+
 def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     """Train one detector; returns a summary of the run."""
     out = Path(out)
@@ -187,11 +220,7 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     ckpt = _ckpt_path(out, tfr_name)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     lock = ckpt.with_suffix(".lock")
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(f"{lock} exists; another training job owns this output") from None
-    os.close(fd)
+    _claim_lock(lock)
     try:
         train_windows = _load_window_examples(cfg, tfr_name, out, "train")
         val_windows = _load_window_examples(cfg, tfr_name, out, "val")

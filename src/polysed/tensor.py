@@ -7,7 +7,10 @@ an input participates in differentiation, the result records its parents and
 a backward rule, so the chain of results forms the tape that
 :func:`gradients` replays in reverse topological order.  :func:`gradients`
 is the only way to backpropagate: it returns the adjoints of a scalar loss
-for named parameters and stores nothing on the tensors.
+for named parameters and stores nothing on the tensors.  It computes no
+adjoint for an untracked input, one that neither requires a gradient nor
+was produced on the tape (a dropout mask, a target, a loss mask, the input
+window): no op result is stored for it, and `conv2d` skips the GEMM.
 
 Tensors are treated as immutable values: no operation writes into an
 existing array, which makes them safe to share between model instances.
@@ -111,10 +114,15 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """True if `t` requires a gradient or was produced on the tape."""
+    return t.requires_grad or t._bwd is not None
+
+
 def _tracked(*tensors: Tensor) -> bool:
     if not _STATE.grad_enabled:
         return False
-    return any(t.requires_grad or t._parents or t._bwd is not None for t in tensors)
+    return any(_needs_grad(t) for t in tensors)
 
 
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd: Callable | None) -> Tensor:
@@ -169,7 +177,7 @@ def _run_backward(loss: Tensor) -> dict[int, np.ndarray]:
             continue
         parent_grads = node._bwd(g)
         for parent, pg in zip(node._parents, parent_grads):
-            if pg is None:
+            if pg is None or not _needs_grad(parent):
                 continue
             cur = grads.get(id(parent))
             grads[id(parent)] = pg if cur is None else cur + pg
@@ -430,7 +438,10 @@ def conv2d(x, kernels, bias=None) -> Tensor:
     for every output position ``(i, j)``.  Forward, the kernel gradient and
     the column gradient are then one GEMM each whose results already have
     the layout their consumer needs, and the input gradient is gathered by
-    ``kh*kw`` contiguous slice adds.
+    ``kh*kw`` contiguous slice adds.  The columns are ``kh*kw`` times the
+    size of ``x``, so they are not kept on the tape: backward rebuilds them
+    from ``x``, and only ``x`` and the kernels stay alive until then.  The
+    input gradient is skipped when ``x`` is not tracked.
     """
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
@@ -447,21 +458,26 @@ def conv2d(x, kernels, bias=None) -> Tensor:
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({c_out},)")
 
     oh, ow = h - kh + 1, w - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
+
+    def unfold():
+        win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
+        return win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
+
     kmat = k.data.reshape(c_out, c_in * kh * kw)
-    out = (kmat @ cols).reshape(c_out, oh, ow)
+    out = (kmat @ unfold()).reshape(c_out, oh, ow)
     if b is not None:
-        out = out + b.data[:, None, None]
+        out += b.data[:, None, None]  # the GEMM result is fresh and unshared
 
     def bwd(g):
         gm = g.reshape(c_out, oh * ow)
-        gk = (gm @ cols.T).reshape(k.shape)
-        gview = (kmat.T @ gm).reshape(c_in, kh, kw, oh, ow)
-        gx = np.zeros((c_in, h, w), dtype=g.dtype)
-        for di in range(kh):
-            for dj in range(kw):
-                gx[:, di:di + oh, dj:dj + ow] += gview[:, di, dj]
+        gk = (gm @ unfold().T).reshape(k.shape)
+        gx = None
+        if _needs_grad(x):
+            gview = (kmat.T @ gm).reshape(c_in, kh, kw, oh, ow)
+            gx = np.zeros((c_in, h, w), dtype=g.dtype)
+            for di in range(kh):
+                for dj in range(kw):
+                    gx[:, di:di + oh, dj:dj + ow] += gview[:, di, dj]
         if b is None:
             return gx, gk
         return gx, gk, gm.sum(axis=1)

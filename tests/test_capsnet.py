@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,26 @@ def test_residential_config_output_shape():
     win = np.random.default_rng(1).normal(size=(256, 64, 2))
     act = model.predict(win)
     assert act.values.shape == (256, 5)
+
+
+def test_train_forward_keeps_conv_inputs_not_columns():
+    """The tape of one train-mode home_config window holds each conv's input
+    and kernels, not its (C_in*kh*kw, oh*ow) im2col columns, which would
+    add about 90 MB."""
+    model = CapsNetModel.build(home_config(3), freq_bins=96, channels=2, rng=SeededRng(0))
+    rng = np.random.default_rng(5)
+    win = rng.normal(size=(256, 96, 2))
+    target = (rng.uniform(size=(256, 3)) < 0.3).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        loss = detection_loss(model.forward(win, train_mode=True, rng=SeededRng(1)),
+                              target, mask=np.ones(256))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(loss.item())
+    assert kept < 40e6
 
 
 def test_build_rejects_indivisible_freq():

@@ -274,6 +274,36 @@ def test_train_lock_blocks_second_job(ran_pipeline, capsys):
         lock.unlink()
 
 
+def test_train_reclaims_lock_of_exited_process(ran_pipeline):
+    cfg_path, out = ran_pipeline
+    ckpt = out / "models" / "logmel_16.ckpt"
+    before = ckpt.read_bytes()
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    lock = out / "models" / "logmel_16.lock"
+    lock.write_text(child.stdout)
+    try:
+        assert _run(cfg_path, out, "train", "--tfr", "logmel_16") == 0
+        assert not lock.exists()
+        assert ckpt.read_bytes() == before
+    finally:
+        lock.unlink(missing_ok=True)
+
+
+def test_train_lock_of_live_process_exits_2(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    lock = out / "models" / "logmel_16.lock"
+    lock.write_text(f"{os.getpid()}\n")
+    try:
+        capsys.readouterr()
+        assert _run(cfg_path, out, "train", "--tfr", "logmel_16") == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("polysed: error: data:") and "\n" not in err
+        assert lock.read_text() == f"{os.getpid()}\n"
+    finally:
+        lock.unlink()
+
+
 def test_unknown_tfr_exits_1(ran_pipeline):
     cfg_path, out = ran_pipeline
     assert _run(cfg_path, out, "extract", "--tfr", "logmel_999") == 1

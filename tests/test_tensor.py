@@ -194,6 +194,24 @@ def test_conv2d_matches_per_tap_loop(c_in, kernel, h, w, dtype, tol):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_conv2d_parameter_gradients_do_not_depend_on_input_tracking(dtype):
+    """An untracked input gets no gradient (its GEMM and col2im are skipped),
+    and the kernel and bias gradients keep their bits."""
+    rng = np.random.default_rng(23)
+    x0, k0, b0, g0 = (rng.normal(size=s).astype(dtype)
+                      for s in ((2, 9, 8), (3, 2, 3, 3), (3,), (3, 7, 6)))
+    grads = {}
+    for x_tracked in (True, False):
+        x = Tensor(x0, requires_grad=x_tracked)
+        k, b = Tensor(k0, requires_grad=True), Tensor(b0, requires_grad=True)
+        out = T.conv2d(x, k, b)
+        assert (out._bwd(g0)[0] is None) == (not x_tracked)
+        grads[x_tracked] = gradients(T.tsum(T.mul(out, Tensor(g0))), {"k": k, "b": b})
+    for name in ("k", "b"):
+        np.testing.assert_array_equal(grads[True][name], grads[False][name])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_relu_commutes_with_maxpool(dtype):
     """relu(maxpool(x)) and maxpool(relu(x)) agree on values and input
     gradients, blocks with ties, only negatives and exact zeros included
