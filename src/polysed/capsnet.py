@@ -300,11 +300,12 @@ class EarlyStopping:
 
 @dataclass
 class WindowExample:
-    """One model input window with its frame targets and valid-frame count."""
+    """One model input window: frame targets, valid frames, first frame in its clip."""
 
     values: np.ndarray           # (WINDOW_FRAMES, bins, channels)
     target: np.ndarray           # (WINDOW_FRAMES, n_events) binary
     valid: int = WINDOW_FRAMES
+    start_frame: int = 0
 
     @property
     def mask(self) -> np.ndarray:
@@ -327,9 +328,11 @@ def _validation_error_rate(model: CapsNetModel, windows: list[WindowExample],
     act = np.concatenate([model.predict(w.values).values[:w.valid] for w in windows])
     truth = np.concatenate([w.target[:w.valid] for w in windows])
     pred = (act >= 0.5).astype(np.uint8)
+    clip_starts = [i for i, w in enumerate(windows) if w.start_frame == 0]
     return error_rate(segment_counts(EventRoll(truth, hop_seconds, labels),
                                      EventRoll(pred, hop_seconds, labels),
-                                     lengths=[w.valid for w in windows]))
+                                     lengths=np.add.reduceat([w.valid for w in windows],
+                                                             clip_starts)))
 
 
 def train(model: CapsNetModel, train_windows: list[WindowExample],

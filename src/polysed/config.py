@@ -8,7 +8,7 @@ comment.  Errors carry the file name and line number.  Sections:
                      name, e.g. ``logmel_64`` or ``stft_2048``, defines the
                      feature itself)
 [train]              epochs, patience, batch size, numeric precision
-[fusion]             which features to fuse and the fitting block length
+[fusion]             which features to fuse (fitting counts errors per clip)
 """
 from __future__ import annotations
 
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .capsnet import CapsNetConfig
-from .dataio import ClassSpec, SynthSpec
+from .dataio import ClassSpec, SynthSpec, read_text
 from .dsp import parse_tfr_name
 from .errors import ConfigError, DataError
-from .fusion import DEFAULT_BLOCK_LEN
 
 
 @dataclass
@@ -48,7 +47,6 @@ class TrainConfig:
 @dataclass
 class FusionConfig:
     tfrs: list[str] = field(default_factory=list)
-    block_len: int = DEFAULT_BLOCK_LEN
 
 
 @dataclass
@@ -67,10 +65,10 @@ class ExperimentConfig:
         return self.dataset.vocabulary
 
 
-def _parse_sections(path: Path) -> list[tuple[str, int, dict[str, tuple[int, str]]]]:
+def _parse_sections(path: Path, text: str) -> list[tuple[str, int, dict[str, tuple[int, str]]]]:
     sections = []
     current = None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -155,18 +153,12 @@ def _int_list(value: str) -> tuple[int, ...]:
     return tuple(int(v.strip()) for v in value.split(",") if v.strip())
 
 
-def _float_pair(value: str) -> tuple[float, float]:
-    parts = [float(v.strip()) for v in value.split(",")]
-    if len(parts) != 2:
-        raise ValueError(value)
-    return parts[0], parts[1]
-
-
-def _int_pair(value: str) -> tuple[int, int]:
-    parts = [int(v.strip()) for v in value.split(",")]
-    if len(parts) != 2:
-        raise ValueError(value)
-    return parts[0], parts[1]
+def _pair(convert):
+    """Parser of exactly two comma-separated values."""
+    def parse(value: str) -> tuple:
+        first, second = (convert(v) for v in value.split(","))  # else ValueError
+        return first, second
+    return parse
 
 
 def _classes(value: str) -> tuple[ClassSpec, ...]:
@@ -192,20 +184,22 @@ def _str_list(value: str) -> list[str]:
 
 def load_config(path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
+    try:
+        text = read_text(path)
+    except DataError as exc:  # missing, unreadable, a directory, not UTF-8
+        raise ConfigError(str(exc)) from None
     dataset = None
     train = None
     fusion = None
     models: dict[str, CapsNetConfig] = {}
     model_order: list[str] = []
 
-    for name, lineno, entries in _parse_sections(path):
+    for name, lineno, entries in _parse_sections(path, text):
         sec = _Section(path, name, lineno, entries)
         if name == "dataset":
             synth = sec.build(SynthSpec, classes=sec.take("classes", _classes), **sec.given(
-                clip_seconds=float, polyphony=int, events_per_clip=_int_pair,
-                event_seconds=_float_pair, snr_db=_float_pair, overlap_fraction=float,
+                clip_seconds=float, polyphony=int, events_per_clip=_pair(int),
+                event_seconds=_pair(float), snr_db=_pair(float), overlap_fraction=float,
                 seed=int))
             dataset = DatasetConfig(synth=synth, **sec.given(
                 train_clips=int, eval_clips=int, val_fraction=float))
@@ -238,7 +232,8 @@ def load_config(path) -> ExperimentConfig:
                 lr=float, rho=float, epsilon=float))
             sec.finish()
         elif name == "fusion":
-            fusion = FusionConfig(**sec.given(tfrs=_str_list, block_len=_count))
+            sec.entries.pop("block_len", None)  # retired: fitting counts per clip
+            fusion = FusionConfig(**sec.given(tfrs=_str_list))
             sec.finish()
         else:
             raise ConfigError(f"{path}:{lineno}: unknown section [{name}]")

@@ -27,6 +27,7 @@ against its header, so a missing, truncated or corrupt artifact raises
 from __future__ import annotations
 
 import contextlib
+import glob
 import json
 import os
 import struct
@@ -55,10 +56,23 @@ def read_file(path) -> bytes:
         raise DataError(f"{path}: cannot read ({exc.strerror or exc})") from None
 
 
+def process_gone(pid: str) -> bool:
+    """True only if the decimal text `pid` names a process that no longer exists."""
+    try:
+        if int(pid) > 0:
+            os.kill(int(pid), 0)  # signal 0 checks that the process exists
+    except ProcessLookupError:
+        return True
+    except (OSError, ValueError, OverflowError):
+        pass  # not a pid, or a process we may not signal
+    return False
+
+
 def write_file(path, data: bytes | str) -> None:
     """Replace the file with `data` (str as UTF-8) through a sibling temp
-    file and os.replace, creating the parent directory; a failed write
-    leaves the old file and is a DataError naming the path."""
+    file and os.replace, creating the parent directory, then remove the
+    temp siblings of dead writers; a failed write leaves the old file and
+    is a DataError naming the path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -69,6 +83,10 @@ def write_file(path, data: bytes | str) -> None:
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise DataError(f"{path}: cannot write ({exc.strerror or exc})") from None
+    for stale in path.parent.glob(glob.escape(f".{path.name}.") + "*.tmp"):
+        if process_gone(stale.name[len(path.name) + 2:-len(".tmp")]):
+            with contextlib.suppress(OSError):
+                stale.unlink()
 
 
 def read_text(path) -> str:
@@ -536,7 +554,6 @@ def write_fusion_params(params: FusionParams, path, grid_note: str = "") -> None
         "weights": [repr(float(w)) for w in params.weights],
         "biases": [repr(float(b)) for b in params.biases],
         "thresholds": [repr(float(t)) for t in params.thresholds],
-        "block_len": params.block_len,
         "grid": grid_note,
     }
     write_file(path, json.dumps(doc, indent=2) + "\n")
@@ -549,7 +566,6 @@ def read_fusion_params(path) -> FusionParams:
             weights=np.array([float(w) for w in doc["weights"]]),
             biases=np.array([float(b) for b in doc["biases"]]),
             thresholds=np.array([float(t) for t in doc["thresholds"]]),
-            block_len=int(doc["block_len"]),
         )
     except (KeyError, TypeError, ValueError, PolysedError) as exc:
         raise DataError(f"{path}: corrupt fusion parameters ({exc})") from None

@@ -10,7 +10,8 @@ ground truth, so more accurate detectors dominate.  The fused scores are
 binarized with one threshold per event (>= activates).
 
 Bias and threshold values are fitted by deterministic coordinate descent
-over fixed grids, scored block-by-block with the segment-based error rate.
+over fixed grids, scored with the segment-based error rate on the clip grid
+that evaluation uses: the prediction set carries its clips' frame counts.
 The search starts from the neutral point (all biases 0, all thresholds 0.5)
 and only ever moves on strict improvement, so the fitted parameters can
 never be worse on the fitting data than that default.
@@ -19,8 +20,8 @@ The search scores every trial on cached per-segment maxima instead of
 re-thresholding and re-counting the whole split.  An event is active in a
 segment iff some frame there reaches its threshold, that is iff the
 segment's maximum fused score does; and per segment S + D + I = max(FN, FP).
-So the maxima of the fused scores over the segments of the block layout
-(``metrics.segment_starts`` of the block lengths) are enough to count the
+So the maxima of the fused scores over the segments of the clips
+(``metrics.segment_starts`` of the clip lengths) are enough to count the
 errors of any threshold exactly, in integers.  Only a bias trial changes the
 fused scores and recomputes the maxima; a threshold trial compares one event
 column of them against the candidate.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
 from .metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
-                      segment_counts, segment_starts)
+                      piece_lengths, segment_counts, segment_starts)
 
 MSE_CLAMP = 1e-12
 BIAS_GRID = tuple(round(-0.2 + 0.05 * i, 2) for i in range(9))        # -0.2 .. 0.2
@@ -45,7 +46,6 @@ GRID_NOTE = "bias -0.2..0.2/0.05, threshold 0.05..0.95/0.05"           # stored 
 DEFAULT_BIAS = 0.0
 DEFAULT_THRESHOLD = 0.5
 MAX_SWEEP_ROUNDS = 10
-DEFAULT_BLOCK_LEN = 256
 
 
 @dataclass
@@ -56,6 +56,7 @@ class PredictionSet:
     truth: np.ndarray                 # (frames, events) binary
     hop: float
     labels: list[str] = field(default_factory=list)
+    lengths: np.ndarray | None = None  # frame counts of its consecutive clips; None: one
 
     def __post_init__(self):
         if not self.predictions:
@@ -66,6 +67,7 @@ class PredictionSet:
             raise ShapeError(f"truth must be 2-d, got {shape}")
         if not self.hop > 0:
             raise DataError(f"hop must be positive, got {self.hop}")
+        self.lengths = piece_lengths(self.lengths, shape[0])
         cleaned = []
         for k, p in enumerate(self.predictions):
             p = np.asarray(p, dtype=np.float64)
@@ -96,7 +98,6 @@ class FusionParams:
     weights: np.ndarray
     biases: np.ndarray
     thresholds: np.ndarray
-    block_len: int = DEFAULT_BLOCK_LEN
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -149,24 +150,15 @@ def apply_threshold(fused: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     return (fused >= thresholds[None, :]).astype(np.uint8)
 
 
-def _block_lengths(n_frames: int, block_len: int) -> np.ndarray:
-    """Frame counts of the contiguous blocks of block_len frames (the last
-    one short) that the fitted error rate is counted over."""
-    return np.diff(np.append(np.arange(0, n_frames, block_len), n_frames))
-
-
-def blockwise_counts(pred_roll: np.ndarray, truth: np.ndarray, hop: float,
-                     block_len: int, labels: list[str]) -> SegmentCounts:
-    """Segment counts over contiguous blocks of block_len frames."""
-    return segment_counts(EventRoll(truth, hop, labels), EventRoll(pred_roll, hop, labels),
-                          lengths=_block_lengths(truth.shape[0], block_len))
+def blockwise_counts(preds: PredictionSet, pred_roll: np.ndarray) -> SegmentCounts:
+    """Segment counts of a thresholded roll against the truth, per clip."""
+    return segment_counts(EventRoll(preds.truth, preds.hop, preds.labels),
+                          EventRoll(pred_roll, preds.hop, preds.labels), lengths=preds.lengths)
 
 
 def fitted_error_rate(preds: PredictionSet, params: FusionParams) -> float:
     fused = fuse(preds, params)
-    roll = apply_threshold(fused, params.thresholds)
-    counts = blockwise_counts(roll, preds.truth, preds.hop, params.block_len, preds.labels)
-    return error_rate(counts)
+    return error_rate(blockwise_counts(preds, apply_threshold(fused, params.thresholds)))
 
 
 def _segment_errors(ref: np.ndarray, active: np.ndarray) -> int:
@@ -176,8 +168,7 @@ def _segment_errors(ref: np.ndarray, active: np.ndarray) -> int:
     return int(np.maximum(fn, fp).sum())
 
 
-def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
-               bias_grid: tuple = BIAS_GRID,
+def fit_fusion(preds: PredictionSet, bias_grid: tuple = BIAS_GRID,
                threshold_grid: tuple = THRESHOLD_GRID) -> FusionParams:
     """Fix weights from reciprocal MSE, then coordinate-search biases and
     thresholds on their grids.
@@ -189,7 +180,7 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
 
     Every trial is scored on the per-segment maxima of the fused scores over
     the segments ``fitted_error_rate`` counts, which start where
-    ``metrics.segment_starts`` of the block lengths says: thresholding the
+    ``metrics.segment_starts`` of the clip lengths says: thresholding the
     maxima gives exactly the segment activity of the thresholded frames, so
     the integer error count sum(max(FN, FP)) over N orders the trials exactly
     as ``fitted_error_rate`` does, and the result is the same.  A bias trial
@@ -198,8 +189,6 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
     """
     threshold_values = np.asarray(threshold_grid, dtype=np.float64)
     _check_ranges(np.asarray(bias_grid, dtype=np.float64), threshold_values)
-    if block_len < 1:
-        raise DataError(f"block_len must be positive, got {block_len}")
     m, n = preds.n_models, preds.n_events
     weights = mse_weights(preds)
     biases = np.full(m, DEFAULT_BIAS)
@@ -207,14 +196,13 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
 
     if preds.truth.sum() == 0:
         warnings.warn("ground truth has no active events; returning default fusion parameters")
-        return FusionParams(weights, biases, thresholds, block_len)
+        return FusionParams(weights, biases, thresholds)
 
-    starts = segment_starts(_block_lengths(preds.truth.shape[0], block_len),
-                            frames_per_segment(preds.hop))
+    starts = segment_starts(preds.lengths, frames_per_segment(preds.hop))
     ref = np.logical_or.reduceat(preds.truth != 0, starts, axis=0)
 
     def segment_maxima(b):
-        return np.maximum.reduceat(fuse(preds, FusionParams(weights, b, thresholds, block_len)),
+        return np.maximum.reduceat(fuse(preds, FusionParams(weights, b, thresholds)),
                                    starts, axis=0)
 
     maxima = segment_maxima(biases)
@@ -252,4 +240,4 @@ def fit_fusion(preds: PredictionSet, block_len: int = DEFAULT_BLOCK_LEN,
             active[:, e] = maxima[:, e] >= thresholds[e]
         if not changed:
             break
-    return FusionParams(weights, biases, thresholds, block_len)
+    return FusionParams(weights, biases, thresholds)

@@ -2,9 +2,10 @@
 
 Prediction and reference event rolls are compared segment by segment: an
 event counts as active in a segment when any of its frames there is active.
-A roll may be the concatenation of consecutive pieces (clips, fitting
-blocks or model windows); each piece is cut into segments from its own
-first frame, so no segment straddles two pieces.
+A roll may be the concatenation of consecutive pieces, the clips of a
+split; each piece is cut into segments from its own first frame, so no
+segment straddles two pieces.  Evaluation, fusion fitting and early
+stopping all count on this one per-clip grid.
 Per segment, with FN false negatives and FP false positives across events,
 
     substitutions S = min(FN, FP)
@@ -97,6 +98,14 @@ def frames_per_segment(hop: float, segment_sec: float = 1.0) -> int:
     return max(1, int(round(segment_sec / hop)))
 
 
+def piece_lengths(lengths, n_frames: int) -> np.ndarray:
+    """Frame counts of the pieces of an n_frames roll (None: one) that tile it."""
+    lengths = np.asarray([n_frames] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.sum() != n_frames or (lengths < 0).any():
+        raise ShapeError(f"piece lengths {lengths.tolist()} do not tile {n_frames} frames")
+    return lengths
+
+
 def segment_starts(lengths, frames_per_seg: int) -> np.ndarray:
     """First frame of every segment of a roll made of consecutive pieces of
     the given frame counts; segments restart at each piece, whose last one
@@ -117,11 +126,8 @@ def segment_counts(ref: EventRoll, pred: EventRoll, lengths=None) -> SegmentCoun
         raise DataError(f"hop mismatch: {ref.hop} vs {pred.hop}")
     if ref.labels != pred.labels:
         raise DataError(f"label mismatch: {ref.labels} vs {pred.labels}")
-    lengths = np.asarray([ref.n_frames] if lengths is None else lengths, dtype=np.int64)
-    if lengths.sum() != ref.n_frames or (lengths < 0).any():
-        raise ShapeError(f"piece lengths {lengths.tolist()} do not tile {ref.n_frames} frames")
 
-    starts = segment_starts(lengths, frames_per_segment(ref.hop))
+    starts = segment_starts(piece_lengths(lengths, ref.n_frames), frames_per_segment(ref.hop))
     r = np.logical_or.reduceat(ref.values, starts, axis=0)
     p = np.logical_or.reduceat(pred.values, starts, axis=0)
     fn = (r & ~p).sum(axis=1)

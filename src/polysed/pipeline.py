@@ -26,6 +26,7 @@ import json
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +169,8 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
         for win in dsp.window_tfr(tfr):
             target = np.zeros((dsp.WINDOW_FRAMES, roll.n_events), dtype=np.uint8)
             target[:win.valid] = roll.values[win.start_frame:win.start_frame + win.valid]
-            examples.append(WindowExample(values=win.values, target=target, valid=win.valid))
+            examples.append(WindowExample(values=win.values, target=target, valid=win.valid,
+                                          start_frame=win.start_frame))
     return examples
 
 
@@ -179,14 +181,9 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
 def _lock_owner_gone(lock: Path) -> bool:
     """True only if `lock` holds the pid of a process that no longer exists."""
     try:
-        pid = int(lock.read_text())
-        if pid > 0:
-            os.kill(pid, 0)  # signal 0 checks that the process exists
-    except ProcessLookupError:
-        return True
-    except (OSError, ValueError, OverflowError):
-        pass  # unreadable, not a pid, or a process we may not signal
-    return False
+        return dataio.process_gone(lock.read_text())
+    except (OSError, ValueError):
+        return False  # unreadable or not text
 
 
 def _claim_lock(lock: Path) -> None:
@@ -279,28 +276,26 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path,
 # ---------------------------------------------------------------------------
 
 def _load_split(cfg: ExperimentConfig, out: Path, split: str,
-                systems: list[str]) -> tuple[list[np.ndarray], np.ndarray, list[int], float]:
-    """Each system's float64 scores on one split, plus the split's flat
-    ground-truth roll, its per-clip frame counts and the shared frame hop."""
+                systems: list[str]) -> PredictionSet:
+    """Each system's scores on one split, with the split's ground truth,
+    its clips' frame counts and their shared frame hop."""
     scores = []
     hops = set()
     for system in systems:
         path = _pred_path(out, system, split)
         values, hop, labels = dataio.read_predictions(path)
         _check_vocabulary(labels, cfg.vocabulary, path)
-        scores.append(values.astype(np.float64))
+        scores.append(values)
         hops.add(hop)
     if len(hops) != 1:
         raise DataError(f"{split} predictions of {', '.join(systems)} differ in frame hop")
     hop = hops.pop()
     rolls = []
-    clip_counts = []
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, cfg.fusion.tfrs[0], split, clip_id))
-        roll = _clip_roll(cfg, out, split, clip_id, tfr.n_frames, hop)
-        rolls.append(roll.values)
-        clip_counts.append(roll.n_frames)
-    return scores, np.concatenate(rolls, axis=0), clip_counts, hop
+        rolls.append(_clip_roll(cfg, out, split, clip_id, tfr.n_frames, hop).values)
+    return PredictionSet(predictions=scores, truth=np.concatenate(rolls, axis=0), hop=hop,
+                         labels=list(cfg.vocabulary), lengths=[len(r) for r in rolls])
 
 
 def _check_vocabulary(found: list[str], expected: list[str], path) -> None:
@@ -318,17 +313,15 @@ def run_fuse_fit(cfg: ExperimentConfig, out: Path, fit_split: str = "val") -> di
     fusion_dir = out / "fusion"
     results = {"fit_split": fit_split, "single": {}, "fused": {}}
 
-    scores, truth, _, hop = _load_split(cfg, out, fit_split, cfg.fusion.tfrs)
-    labels = list(cfg.vocabulary)
-    for tfr_name, tfr_scores in zip(cfg.fusion.tfrs, scores):
-        pset = PredictionSet(predictions=[tfr_scores], truth=truth, hop=hop, labels=labels)
-        params = fit_fusion(pset, block_len=cfg.fusion.block_len)
+    pset_all = _load_split(cfg, out, fit_split, cfg.fusion.tfrs)
+    for tfr_name, tfr_scores in zip(cfg.fusion.tfrs, pset_all.predictions):
+        pset = replace(pset_all, predictions=[tfr_scores])
+        params = fit_fusion(pset)
         dataio.write_fusion_params(params, fusion_dir / f"single_{tfr_name}.json",
                                    grid_note=GRID_NOTE)
         results["single"][tfr_name] = fitted_error_rate(pset, params)
 
-    pset_all = PredictionSet(predictions=scores, truth=truth, hop=hop, labels=labels)
-    fused_params = fit_fusion(pset_all, block_len=cfg.fusion.block_len)
+    fused_params = fit_fusion(pset_all)
     dataio.write_fusion_params(fused_params, fusion_dir / "fused.json", grid_note=GRID_NOTE)
     results["fused"] = {
         "tfrs": list(cfg.fusion.tfrs),
@@ -346,10 +339,9 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path,
     params = dataio.read_fusion_params(out / "fusion" / "fused.json")
     written = {}
     for split in splits:
-        scores, truth, _, hop = _load_split(cfg, out, split, cfg.fusion.tfrs)
-        fused = fuse(PredictionSet(predictions=scores, truth=truth, hop=hop,
-                                   labels=list(cfg.vocabulary)), params)
-        dataio.write_predictions(fused, hop, cfg.vocabulary, _pred_path(out, "fused", split))
+        pset = _load_split(cfg, out, split, cfg.fusion.tfrs)
+        fused = fuse(pset, params)
+        dataio.write_predictions(fused, pset.hop, cfg.vocabulary, _pred_path(out, "fused", split))
         written[split] = fused.shape
     return written
 
@@ -364,21 +356,21 @@ def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
     names = list(cfg.fusion.tfrs)
     if _pred_path(out, "fused", split).exists():
         names.append("fused")
-    scores, truth, clip_counts, hop = _load_split(cfg, out, split, names)
+    pset = _load_split(cfg, out, split, names)
+    truth = EventRoll(pset.truth, pset.hop, pset.labels)
     systems = []
-    for name, values in zip(names, scores):
+    for name, values in zip(names, pset.predictions):
         if name == "fused":
             params = dataio.read_fusion_params(out / "fusion" / "fused.json")
             roll = apply_threshold(values, params.thresholds)
             name, kind = "+".join(cfg.fusion.tfrs), "fused"
         else:
             params = dataio.read_fusion_params(out / "fusion" / f"single_{name}.json")
-            single = PredictionSet(predictions=[values], truth=truth, hop=hop,
-                                   labels=list(cfg.vocabulary))
-            roll = apply_threshold(fuse(single, params), params.thresholds)
+            roll = apply_threshold(fuse(replace(pset, predictions=[values]), params),
+                                   params.thresholds)
             kind = "single"
-        counts = segment_counts(EventRoll(truth, hop, cfg.vocabulary),
-                                EventRoll(roll, hop, cfg.vocabulary), lengths=clip_counts)
+        counts = segment_counts(truth, EventRoll(roll, pset.hop, pset.labels),
+                                lengths=pset.lengths)
         systems.append(_system_entry(name, kind, counts))
 
     results = {"split": split, "systems": systems}

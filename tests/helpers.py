@@ -69,7 +69,7 @@ def segment_counts_oracle(ref: np.ndarray, pred: np.ndarray, frames_per_seg: int
     return s_list, d_list, i_list, n_list
 
 
-def reference_fit_fusion(preds, block_len=None, bias_grid=None, threshold_grid=None):
+def reference_fit_fusion(preds, bias_grid=None, threshold_grid=None):
     """Brute-force fusion fit: the coordinate search of ``fit_fusion`` with
     every trial scored by re-fusing and re-counting the whole split through
     ``fitted_error_rate``.  Returns the parameters and their fitted ER."""
@@ -77,7 +77,6 @@ def reference_fit_fusion(preds, block_len=None, bias_grid=None, threshold_grid=N
 
     from polysed import fusion
 
-    block_len = fusion.DEFAULT_BLOCK_LEN if block_len is None else block_len
     bias_grid = fusion.BIAS_GRID if bias_grid is None else bias_grid
     threshold_grid = fusion.THRESHOLD_GRID if threshold_grid is None else threshold_grid
     m, n = preds.n_models, preds.n_events
@@ -87,10 +86,10 @@ def reference_fit_fusion(preds, block_len=None, bias_grid=None, threshold_grid=N
 
     if preds.truth.sum() == 0:
         warnings.warn("ground truth has no active events; returning default fusion parameters")
-        return fusion.FusionParams(weights, biases, thresholds, block_len), None
+        return fusion.FusionParams(weights, biases, thresholds), None
 
     def score(b, eta):
-        return fusion.fitted_error_rate(preds, fusion.FusionParams(weights, b, eta, block_len))
+        return fusion.fitted_error_rate(preds, fusion.FusionParams(weights, b, eta))
 
     current = score(biases, thresholds)
     for _ in range(fusion.MAX_SWEEP_ROUNDS):
@@ -115,4 +114,4 @@ def reference_fit_fusion(preds, block_len=None, bias_grid=None, threshold_grid=N
                     thresholds, current, changed = trial, er, True
         if not changed:
             break
-    return fusion.FusionParams(weights, biases, thresholds, block_len), current
+    return fusion.FusionParams(weights, biases, thresholds), current

@@ -7,9 +7,10 @@ from helpers import finite_diff_grad, max_rel_err
 
 from polysed import tensor as T
 from polysed.capsnet import (ActivityMatrix, CapsNetConfig, CapsNetModel, EarlyStopping,
-                             WindowExample, detection_loss, dynamic_routing, home_config,
-                             residential_config, squash, train)
+                             WindowExample, _validation_error_rate, detection_loss,
+                             dynamic_routing, home_config, residential_config, squash, train)
 from polysed.errors import ConfigError, DataError, NumericError, ShapeError
+from polysed.metrics import EventRoll, error_rate, segment_counts
 from polysed.rng import SeededRng
 from polysed.tensor import Tensor, gradients
 
@@ -321,6 +322,37 @@ def test_train_deterministic_history():
     assert a.history == b.history
     for name in a.parameters:
         np.testing.assert_array_equal(a.parameters[name].numpy(), b.parameters[name].numpy())
+
+
+class _EchoModel:
+    """Predicts each window's first channel as its event scores."""
+
+    def predict(self, values):
+        return ActivityMatrix(values=values[:, :, 0])
+
+
+def test_validation_error_rate_counts_segments_per_clip():
+    rng = np.random.default_rng(8)
+    clip_lengths, n_events, hop, labels = [300, 530], 2, 0.02, ["a", "b"]
+    shape = (sum(clip_lengths), n_events)
+    truth = (rng.uniform(size=shape) < 0.01).astype(np.uint8)
+    detected = np.roll(truth, 30, axis=0) | (rng.uniform(size=shape) < 0.005)
+    scores = np.where(detected, 0.9, 0.1)
+    windows, clip_start = [], 0
+    for length in clip_lengths:
+        for start in range(0, length, 256):
+            valid = min(256, length - start)
+            values = np.zeros((256, n_events, 1))
+            target = np.zeros((256, n_events), dtype=np.uint8)
+            frames = slice(clip_start + start, clip_start + start + valid)
+            values[:valid, :, 0], target[:valid] = scores[frames], truth[frames]
+            windows.append(WindowExample(values=values, target=target, valid=valid,
+                                         start_frame=start))
+        clip_start += length
+    expected = error_rate(segment_counts(EventRoll(truth, hop, labels),
+                                         EventRoll((scores >= 0.5).astype(np.uint8), hop, labels),
+                                         lengths=clip_lengths))
+    assert _validation_error_rate(_EchoModel(), windows, hop, labels) == expected
 
 
 def test_train_requires_both_splits():

@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 import polysed
-from polysed import dataio
+from polysed import dataio, pipeline
 from polysed.capsnet import CapsNetConfig
 from polysed.cli import main
 from polysed.config import DatasetConfig, FusionConfig, TrainConfig, load_config
 from polysed.dataio import ClassSpec, SynthSpec
 from polysed.errors import ConfigError
-from polysed.fusion import DEFAULT_BLOCK_LEN
 
 TINY_CFG = """\
 # tiny end-to-end experiment
@@ -156,6 +155,27 @@ def test_missing_config_exits_1(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("kind", ["non_utf8", "directory"])
+def test_unreadable_config_exits_1_naming_it(tmp_path, capsys, kind):
+    path = tmp_path / "exp.cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(TINY_CFG.encode("utf-8").replace(b"# tiny", b"# \xff tiny"))
+    assert main(["synth", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("polysed: error: config:") and "\n" not in err
+    assert str(path) in err
+
+
+def test_config_with_retired_block_len_loads(tmp_path):
+    assert "block_len = 256" in TINY_CFG
+    legacy, current = tmp_path / "legacy.cfg", tmp_path / "current.cfg"
+    legacy.write_text(TINY_CFG)
+    current.write_text(TINY_CFG.replace("block_len = 256\n", ""))
+    assert load_config(legacy) == load_config(current)
+
+
 def test_vocabulary_mismatch_exits_2(ran_pipeline, tmp_path, capsys):
     cfg_path, out = ran_pipeline
     renamed = TINY_CFG.replace("low_tone:tone:300-600", "siren:tone:300-600")
@@ -249,6 +269,24 @@ def test_seed_option_reaches_corpus_and_checkpoint(ran_pipeline, tmp_path):
     assert header["provenance"]["seed"] == 5
 
 
+def test_eval_on_the_fit_split_reports_the_fitted_ers(ran_pipeline):
+    """Fusion is fitted on the error rate that eval reports: scoring the
+    fitting split gives exactly the ERs of fit_results.json."""
+    cfg_path, out = ran_pipeline
+    cfg = load_config(cfg_path)
+    kept = {p: p.read_bytes() for p in (out / "eval").iterdir()}
+    fit = json.loads((out / "fusion" / "fit_results.json").read_text())
+    try:
+        pipeline.run_fuse_apply(cfg, out, splits=("val",))
+        results = pipeline.run_eval(cfg, out, split="val")
+    finally:
+        (out / "pred" / "fused" / "val.pred").unlink(missing_ok=True)
+        for path, data in kept.items():
+            path.write_bytes(data)
+    ers = {s["name"]: s["er"] for s in results["systems"]}
+    assert ers == {**fit["single"], "+".join(fit["fused"]["tfrs"]): fit["fused"]["er"]}
+
+
 def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     pred = out / "pred" / "logmel_16" / "val.pred"
@@ -339,7 +377,6 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
 
 
 @pytest.mark.parametrize("line,bad", [
-    ("block_len = 256", "block_len = 0"),
     ("batch_size = 4", "batch_size = 0"),
     ("epochs = 2", "epochs = 0"),
     ("patience = 20", "patience = 0"),
@@ -384,7 +421,6 @@ def test_unset_keys_load_the_dataclass_defaults(tmp_path):
     assert cfg.seed == synth.seed
     assert cfg.train == TrainConfig()
     assert cfg.fusion == FusionConfig(tfrs=["logmel_32", "logmel_16"])
-    assert cfg.fusion.block_len == DEFAULT_BLOCK_LEN
     geometry = dict(cnn_kernels=(4, 4), cnn_kernel_dim=3, pool_dims=(2, 2), n_primary_caps=3,
                     primary_cap_dim=4, output_cap_dim=4, routing_iters=3, n_events=2)
     assert cfg.models == {"logmel_32": CapsNetConfig(**geometry),

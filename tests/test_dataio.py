@@ -1,5 +1,8 @@
+import json
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -258,15 +261,22 @@ def test_prediction_file_roundtrip(tmp_path):
 def test_fusion_params_exact_decimal_roundtrip(tmp_path):
     params = FusionParams(weights=np.array([1.0 / 3.0, 97.12345678901234]),
                           biases=np.array([-0.05, 0.2]),
-                          thresholds=np.array([0.35, 0.55, 0.75]),
-                          block_len=256)
+                          thresholds=np.array([0.35, 0.55, 0.75]))
     path = tmp_path / "f.json"
     write_fusion_params(params, path, grid_note="bias -0.2..0.2 step 0.05")
     back = read_fusion_params(path)
     np.testing.assert_array_equal(back.weights, params.weights)
     np.testing.assert_array_equal(back.biases, params.biases)
     np.testing.assert_array_equal(back.thresholds, params.thresholds)
-    assert back.block_len == 256
+
+
+def test_fusion_params_with_retired_block_len_key_still_read(tmp_path):
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps({"weights": ["2.0"], "biases": ["0.05"], "thresholds": ["0.35"],
+                                "block_len": 256, "grid": ""}))
+    back = read_fusion_params(path)
+    assert (back.weights.tolist(), back.biases.tolist(), back.thresholds.tolist()) == \
+        ([2.0], [0.05], [0.35])
 
 
 # -- missing and truncated artifacts --------------------------------------------------------
@@ -349,3 +359,16 @@ def test_write_file_creates_the_directory_and_replaces(tmp_path):
     write_file(path, b"second\n")
     assert path.read_bytes() == b"second\n"
     assert list(path.parent.iterdir()) == [path]
+
+
+def test_write_file_removes_temp_siblings_of_exited_writers(tmp_path):
+    child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                           capture_output=True, text=True, check=True)
+    path = tmp_path / "out.txt"
+    stale = tmp_path / f".out.txt.{int(child.stdout)}.tmp"
+    live = tmp_path / f".out.txt.{os.getppid()}.tmp"        # a running process's write
+    other = tmp_path / f".other.txt.{int(child.stdout)}.tmp"  # another artifact's temp file
+    for sibling in (stale, live, other):
+        sibling.write_bytes(b"half written")
+    write_file(path, "data\n")
+    assert sorted(tmp_path.iterdir()) == sorted([path, live, other])

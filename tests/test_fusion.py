@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,18 @@ from polysed.fusion import (BIAS_GRID, THRESHOLD_GRID, FusionParams, PredictionS
                             mse_weights)
 
 
-def _pset(preds, truth, hop=0.02):
+def _pset(preds, truth, hop=0.02, lengths=None):
     return PredictionSet(predictions=[np.asarray(p, dtype=float) for p in preds],
-                         truth=np.asarray(truth), hop=hop)
+                         truth=np.asarray(truth), hop=hop, lengths=lengths)
 
 
-def _params(w, b, eta, block_len=256):
-    return FusionParams(np.asarray(w, float), np.asarray(b, float), np.asarray(eta, float), block_len)
+def _blocks(t, block_len):
+    """Clip lengths cutting t frames into blocks of block_len, the last one short."""
+    return [min(block_len, t - start) for start in range(0, t, block_len)]
+
+
+def _params(w, b, eta):
+    return FusionParams(np.asarray(w, float), np.asarray(b, float), np.asarray(eta, float))
 
 
 # -- weights -------------------------------------------------------------------
@@ -142,7 +149,7 @@ def _near_binary_case(seed=0, t=512, n=2):
     truth = (rng.uniform(size=(t, n)) < 0.3).astype(int)
     truth[0, 0] = 1
     pred = np.where(truth == 1, 0.9, 0.1)
-    return _pset([pred], truth)
+    return _pset([pred], truth, lengths=_blocks(t, 256))
 
 
 def test_fit_fusion_separable_returns_zero_error():
@@ -158,9 +165,9 @@ def test_fit_fusion_never_worse_than_default():
     truth = (rng.uniform(size=(700, 3)) < 0.25).astype(int)
     truth[0, 0] = 1
     preds = [np.clip(truth + rng.normal(0, 0.45, truth.shape), 0, 1) for _ in range(2)]
-    pset = _pset(preds, truth)
+    pset = _pset(preds, truth, lengths=_blocks(700, 256))
     params = fit_fusion(pset)
-    default = FusionParams(mse_weights(pset), np.zeros(2), np.full(3, 0.5), 256)
+    default = FusionParams(mse_weights(pset), np.zeros(2), np.full(3, 0.5))
     assert fitted_error_rate(pset, params) <= fitted_error_rate(pset, default)
 
 
@@ -189,7 +196,7 @@ def _complementary_pair(seed=11, t=1024):
     noise = rng.uniform(0.3, 0.7, size=(t, 2))
     p1 = np.column_stack([sharp[:, 0], noise[:, 0]])
     p2 = np.column_stack([noise[:, 1], sharp[:, 1]])
-    return _pset([p1, p2], truth)
+    return _pset([p1, p2], truth, lengths=_blocks(t, 256))
 
 
 def test_fit_fusion_complementary_models_beat_individuals():
@@ -198,7 +205,7 @@ def test_fit_fusion_complementary_models_beat_individuals():
     fused_er = fitted_error_rate(pset, fused_params)
     individual = []
     for k in range(2):
-        single = _pset([pset.predictions[k]], pset.truth)
+        single = _pset([pset.predictions[k]], pset.truth, lengths=pset.lengths)
         p = fit_fusion(single)
         individual.append(fitted_error_rate(single, p))
     assert fused_er <= min(individual)
@@ -214,15 +221,13 @@ def test_fit_fusion_is_coordinatewise_minimal():
         for candidate in BIAS_GRID:
             trial = params.biases.copy()
             trial[k] = candidate
-            er = fitted_error_rate(pset, FusionParams(params.weights, trial,
-                                                      params.thresholds, params.block_len))
+            er = fitted_error_rate(pset, FusionParams(params.weights, trial, params.thresholds))
             assert er >= best
     for e in range(pset.n_events):
         for candidate in THRESHOLD_GRID:
             trial = params.thresholds.copy()
             trial[e] = candidate
-            er = fitted_error_rate(pset, FusionParams(params.weights, params.biases,
-                                                      trial, params.block_len))
+            er = fitted_error_rate(pset, FusionParams(params.weights, params.biases, trial))
             assert er >= best
 
 
@@ -237,7 +242,7 @@ def test_fit_fusion_deterministic():
 
 # -- fast fit against the brute-force oracle ---------------------------------------
 
-def _random_case(rng, m, n, t, hop):
+def _random_case(rng, m, n, t, hop, lengths=None):
     """Event runs as truth, m detectors with their own offset, lag and noise.
     A single detector's scores are rounded to multiples of 0.05, so its
     segment maxima tie with grid thresholds, which activate on equality."""
@@ -255,18 +260,26 @@ def _random_case(rng, m, n, t, hop):
         if m == 1:
             raw = np.round(raw * 20) / 20
         preds.append(np.clip(raw, 0.0, 1.0))
-    return _pset(preds, truth, hop=hop)
+    return _pset(preds, truth, hop=hop, lengths=lengths)
 
 
-# (m, events, frames, hop, block_len, custom grids): hop 0.02 makes 50-frame
+# (m, events, frames, hop, clips, custom grids): an int for clips cuts the
+# frames into blocks of that many frames.  Hop 0.02 makes 50-frame
 # segments, 0.05 20-frame and 0.1 10-frame ones.
 FIT_CASES = [
     (1, 2, 400, 0.02, 256, False),    # short final block
-    (2, 3, 530, 0.02, 77, False),     # block_len not a multiple of the segment
+    (2, 3, 530, 0.02, 77, False),     # block length not a multiple of the segment
     (3, 2, 220, 0.02, 7, True),       # every block shorter than one segment
     (4, 3, 610, 0.05, 90, True),      # other hop, 4.5 segments per block
     (2, 2, 333, 0.1, 333, True),      # one block, short last segment
+    (3, 2, 1043, 0.02, [500, 317, 0, 226], True),  # unequal clips, one empty
 ]
+
+
+def _fit_case_id(case):
+    clips = case[4]
+    layout = f"block{clips}" if isinstance(clips, int) else "clips" + "-".join(map(str, clips))
+    return f"m{case[0]}-hop{case[3]}-{layout}"
 
 
 def _custom_grids(rng):
@@ -283,17 +296,20 @@ def _assert_matches_reference(pset, **kwargs):
     np.testing.assert_array_equal(fast.weights, ref.weights)
     np.testing.assert_array_equal(fast.biases, ref.biases)
     np.testing.assert_array_equal(fast.thresholds, ref.thresholds)
-    assert fast.block_len == ref.block_len
     assert fitted_error_rate(pset, fast) == ref_er
 
 
-@pytest.mark.parametrize("case", FIT_CASES, ids=lambda c: f"m{c[0]}-hop{c[3]}-block{c[4]}")
+@pytest.mark.parametrize("case", FIT_CASES, ids=_fit_case_id)
 def test_fit_fusion_matches_reference(case):
-    m, n, t, hop, block_len, custom = case
-    rng = np.random.default_rng(1000 + m * 31 + block_len)
-    pset = _random_case(rng, m, n, t, hop)
+    m, n, t, hop, clips, custom = case
+    if isinstance(clips, int):
+        rng = np.random.default_rng(1000 + m * 31 + clips)
+        clips = _blocks(t, clips)
+    else:
+        rng = np.random.default_rng(1000 + m * 31 + len(clips))
+    pset = _random_case(rng, m, n, t, hop, lengths=clips)
     grids = _custom_grids(rng) if custom else {}
-    _assert_matches_reference(pset, block_len=block_len, **grids)
+    _assert_matches_reference(pset, **grids)
 
 
 def test_fit_fusion_matches_reference_random_geometries():
@@ -301,9 +317,10 @@ def test_fit_fusion_matches_reference_random_geometries():
     for _ in range(6):
         m = int(rng.integers(1, 5))
         hop = float(rng.choice([0.02, 0.04, 0.05, 0.1]))
-        pset = _random_case(rng, m, int(rng.integers(1, 4)), int(rng.integers(60, 400)), hop)
-        _assert_matches_reference(pset, block_len=int(rng.integers(5, 300)),
-                                  **_custom_grids(rng))
+        n, t = int(rng.integers(1, 4)), int(rng.integers(60, 400))
+        pset = _random_case(rng, m, n, t, hop)
+        pset = replace(pset, lengths=_blocks(t, int(rng.integers(5, 300))))
+        _assert_matches_reference(pset, **_custom_grids(rng))
 
 
 @pytest.mark.parametrize("grids", [{"bias_grid": (0.0, 1.5)},
@@ -318,9 +335,14 @@ def test_fit_fusion_rejects_out_of_range_grid(grids):
         fit_fusion(silent, **grids)
 
 
-def test_fit_fusion_rejects_nonpositive_block_len():
-    with pytest.raises(DataError, match="block_len"):
-        fit_fusion(_near_binary_case(), block_len=0)
+@pytest.mark.parametrize("lengths", [[21], [10, 5], [30, -10], [], [[10, 10]]])
+def test_prediction_set_rejects_lengths_that_do_not_tile_its_frames(lengths):
+    with pytest.raises(ShapeError, match="do not tile 20 frames"):
+        _pset([np.full((20, 1), 0.4)], np.zeros((20, 1), dtype=int), lengths=lengths)
+
+
+def test_prediction_set_defaults_to_one_clip():
+    assert _pset([np.full((20, 1), 0.4)], np.zeros((20, 1), dtype=int)).lengths.tolist() == [20]
 
 
 # -- non-finite scores --------------------------------------------------------------
