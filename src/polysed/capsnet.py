@@ -32,7 +32,7 @@ from .dsp import WINDOW_FRAMES
 from .errors import ConfigError, DataError, NumericError, ShapeError
 from .metrics import EventRoll, error_rate, segment_counts
 from .optim import AdaDeltaState, adadelta_step
-from .rng import SeededRng
+from .rng import stream
 from .tensor import Tensor, gradients, no_grad
 
 LOSS_CLAMP = 1e-7
@@ -69,18 +69,18 @@ class CapsNetConfig:
         return int(np.prod(self.pool_dims))
 
 
-def home_config(n_events: int, **overrides) -> CapsNetConfig:
+def home_config(n_events: int) -> CapsNetConfig:
     """Published hyperparameters for the indoor-scene detector."""
     return CapsNetConfig(cnn_kernels=(32, 32, 8), cnn_kernel_dim=6, pool_dims=(4, 3, 2),
                          n_primary_caps=8, primary_cap_dim=9, output_cap_dim=11,
-                         routing_iters=3, n_events=n_events, **overrides)
+                         routing_iters=3, n_events=n_events)
 
 
-def residential_config(n_events: int, **overrides) -> CapsNetConfig:
+def residential_config(n_events: int) -> CapsNetConfig:
     """Published hyperparameters for the outdoor-scene detector."""
     return CapsNetConfig(cnn_kernels=(4, 16, 32, 4), cnn_kernel_dim=4, pool_dims=(2, 2, 2, 2),
                          n_primary_caps=7, primary_cap_dim=16, output_cap_dim=8,
-                         routing_iters=4, n_events=n_events, **overrides)
+                         routing_iters=4, n_events=n_events)
 
 
 @dataclass
@@ -98,13 +98,13 @@ class ActivityMatrix:
             raise NumericError("activation strengths left [0, 1]")
 
 
-def squash(s: Tensor, axis: int = -1) -> Tensor:
-    """Length-limiting nonlinearity: s * |s| / (1 + |s|^2).
+def squash(s: Tensor) -> Tensor:
+    """Length-limiting nonlinearity over the last axis: s * |s| / (1 + |s|^2).
 
     Keeps the direction of s, maps the zero vector to itself, and bounds the
     result's norm strictly below 1.
     """
-    n = T.norm(s, axis=axis, keepdims=True)
+    n = T.norm(s, axis=-1, keepdims=True)
     return T.mul(s, T.div(n, T.add(T.square(n), 1.0)))
 
 
@@ -130,7 +130,7 @@ def dynamic_routing(u_hat: Tensor, iters: int, return_couplings: bool = False):
         if return_couplings:
             couplings.append(c.numpy().copy())
         s = T.tsum(T.mul(T.unsqueeze(c, -1), u_hat), axis=-3)
-        v = squash(s, axis=-1)
+        v = squash(s)
         agreement = T.tsum(T.mul(u_hat, T.unsqueeze(v, -3)), axis=-1)
         logits = T.add(logits, agreement)
     if return_couplings:
@@ -151,7 +151,7 @@ class CapsNetModel:
 
     @classmethod
     def build(cls, config: CapsNetConfig, freq_bins: int, channels: int,
-              rng: SeededRng, dtype=np.float64) -> "CapsNetModel":
+              rng: np.random.Generator, dtype=np.float64) -> "CapsNetModel":
         """Initialize parameters for the given input geometry.
 
         Rejects geometries whose frequency size is not divisible by the
@@ -190,7 +190,7 @@ class CapsNetModel:
 
     # -- forward -----------------------------------------------------------
 
-    def _conv_stack(self, x: Tensor, train_mode: bool, rng: SeededRng | None) -> Tensor:
+    def _conv_stack(self, x: Tensor, train_mode: bool, rng: np.random.Generator | None) -> Tensor:
         cfg = self.config
         k = cfg.cnn_kernel_dim
         pad_before = (k - 1) // 2
@@ -209,7 +209,7 @@ class CapsNetModel:
         return x
 
     def forward(self, window_values: np.ndarray, train_mode: bool = False,
-                rng: SeededRng | None = None) -> Tensor:
+                rng: np.random.Generator | None = None) -> Tensor:
         """Activity tensor (frames, n_events) for one feature window."""
         w = np.asarray(window_values, dtype=self.dtype)
         if w.ndim != 3 or w.shape[0] != WINDOW_FRAMES:
@@ -349,9 +349,8 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
     if not train_windows or not val_windows:
         raise DataError("need at least one training and one validation window")
     labels = labels or [f"event_{i}" for i in range(model.config.n_events)]
-    root = SeededRng(seed)
-    shuffle_rng = root.child("shuffle")
-    dropout_rng = root.child("dropout")
+    shuffle_rng = stream(seed, "shuffle")
+    dropout_rng = stream(seed, "dropout")
     state = AdaDeltaState(rho=rho, epsilon=epsilon, lr=lr)
     stopper = EarlyStopping(patience)
     result = TrainResult(parameters=model.clone_parameters())

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import load_config
-from .errors import ConfigError, DataError, NumericError, PolysedError
+from .errors import ConfigError, NumericError, PolysedError
 from . import pipeline
 
 
@@ -98,14 +99,13 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"polysed: error: numeric: {exc}", file=sys.stderr)
         return 3
-    except (DataError, PolysedError) as exc:
+    except PolysedError as exc:
         print(f"polysed: error: data: {exc}", file=sys.stderr)
         return 2
 
 
 def _override_seed(cfg, seed: int):
-    synth = cfg.dataset.synth
-    cfg.dataset.synth = type(synth)(**{**synth.__dict__, "seed": seed})
+    cfg.dataset.synth = replace(cfg.dataset.synth, seed=seed)
     return cfg
 
 

@@ -12,6 +12,7 @@ comment.  Errors carry the file name and line number.  Sections:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -75,7 +76,9 @@ def _parse_sections(path: Path, text: str) -> list[tuple[str, int, dict[str, tup
         if line.startswith("["):
             if not line.endswith("]"):
                 raise ConfigError(f"{path}:{lineno}: unterminated section header")
-            current = (line[1:-1].strip(), lineno, {})
+            current = (" ".join(line[1:-1].split()), lineno, {})
+            if any(current[0] == section[0] for section in sections):
+                raise ConfigError(f"{path}:{lineno}: repeated section [{current[0]}]")
             sections.append(current)
             continue
         if "=" not in line:
@@ -143,6 +146,13 @@ def _count(value: str) -> int:
     return n
 
 
+def _finite(value: str) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ConfigError(f"must be finite, got {value!r}")
+    return x
+
+
 def _precision(value: str) -> str:
     if value not in ("f64", "f32"):
         raise ConfigError(f"must be f64 or f32, got {value!r}")
@@ -172,7 +182,7 @@ def _classes(value: str) -> tuple[ClassSpec, ...]:
         if len(parts) != 3 or "-" not in parts[2]:
             raise ValueError(item)
         lo, hi = parts[2].split("-", 1)
-        out.append(ClassSpec(parts[0].strip(), parts[1].strip(), float(lo), float(hi)))
+        out.append(ClassSpec(parts[0].strip(), parts[1].strip(), _finite(lo), _finite(hi)))
     if not out:
         raise ValueError(value)
     return tuple(out)
@@ -198,11 +208,11 @@ def load_config(path) -> ExperimentConfig:
         sec = _Section(path, name, lineno, entries)
         if name == "dataset":
             synth = sec.build(SynthSpec, classes=sec.take("classes", _classes), **sec.given(
-                clip_seconds=float, polyphony=int, events_per_clip=_pair(int),
-                event_seconds=_pair(float), snr_db=_pair(float), overlap_fraction=float,
+                clip_seconds=_finite, polyphony=int, events_per_clip=_pair(int),
+                event_seconds=_pair(_finite), snr_db=_pair(_finite), overlap_fraction=_finite,
                 seed=int))
             dataset = DatasetConfig(synth=synth, **sec.given(
-                train_clips=int, eval_clips=int, val_fraction=float))
+                train_clips=_count, eval_clips=_count, val_fraction=_finite))
             sec.finish()
         elif name.startswith("model "):
             tfr_name = name[len("model "):].strip()
@@ -222,14 +232,14 @@ def load_config(path) -> ExperimentConfig:
                 output_cap_dim=sec.take("output_cap_dim", int),
                 routing_iters=sec.take("routing_iters", int),
                 n_events=len(dataset.vocabulary),
-                **sec.given(dropout_rate=float, l2_weight=float),
+                **sec.given(dropout_rate=_finite, l2_weight=_finite),
             )
             model_order.append(tfr_name)
             sec.finish()
         elif name == "train":
             train = TrainConfig(**sec.given(
                 epochs=_count, patience=_count, batch_size=_count, precision=_precision,
-                lr=float, rho=float, epsilon=float))
+                lr=_finite, rho=_finite, epsilon=_finite))
             sec.finish()
         elif name == "fusion":
             sec.entries.pop("block_len", None)  # retired: fitting counts per clip

@@ -38,11 +38,11 @@ from pathlib import Path
 import numpy as np
 
 from .capsnet import CapsNetConfig, CapsNetModel
-from .dsp import AudioClip, Tfr, TfrConfig
+from .dsp import PIPELINE_SAMPLE_RATE, AudioClip, Tfr, TfrConfig
 from .errors import DataError, PolysedError
 from .fusion import FusionParams
 from .metrics import EventRoll
-from .rng import SeededRng
+from .rng import stream
 from .tensor import Tensor
 
 PCM16_SCALE = 32768.0
@@ -115,8 +115,8 @@ def _unpack(fmt: str, raw: bytes, pos: int, path) -> tuple:
 # WAV
 # ---------------------------------------------------------------------------
 
-def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
-    """Read a 16-bit PCM RIFF/WAVE file into [-1, 1] samples."""
+def read_wav(path) -> AudioClip:
+    """Read a 16-bit PCM RIFF/WAVE file at 16 kHz into [-1, 1] samples."""
     raw = read_file(path)
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise DataError(f"{path}: not a RIFF/WAVE file")
@@ -143,8 +143,8 @@ def read_wav(path, expected_rate: int | None = 16000) -> AudioClip:
         raise DataError(f"{path}: unsupported sample width {bits} bits; only 16-bit PCM is handled")
     if channels not in (1, 2):
         raise DataError(f"{path}: {channels} channels; only mono and stereo are handled")
-    if expected_rate is not None and rate != expected_rate:
-        raise DataError(f"{path}: sample rate {rate} Hz, expected {expected_rate} Hz")
+    if rate != PIPELINE_SAMPLE_RATE:
+        raise DataError(f"{path}: sample rate {rate} Hz, expected {PIPELINE_SAMPLE_RATE} Hz")
     if len(data) % (2 * channels):
         raise DataError(f"{path}: data chunk is not a whole number of {channels}-channel frames")
     frames = np.frombuffer(data, dtype="<i2")
@@ -263,7 +263,6 @@ class SynthSpec:
     events_per_clip: tuple[int, int] = (3, 6)
     event_seconds: tuple[float, float] = (0.6, 2.0)
     snr_db: tuple[float, float] = (6.0, 20.0)
-    sample_rate: int = 16000
     overlap_fraction: float = 0.3
     seed: int = 0
 
@@ -282,7 +281,7 @@ class SynthSpec:
         return [c.label for c in self.classes]
 
 
-def _event_wave(cls: ClassSpec, duration: float, sr: int, rng: SeededRng) -> np.ndarray:
+def _event_wave(cls: ClassSpec, duration: float, sr: int, rng: np.random.Generator) -> np.ndarray:
     n = int(round(duration * sr))
     t = np.arange(n) / sr
     if cls.kind == "tone":
@@ -321,14 +320,14 @@ def _concurrency_ok(intervals, candidate, polyphony):
     return True
 
 
-def generate_clip(spec: SynthSpec, rng: SeededRng) -> tuple[AudioClip, Annotation]:
+def generate_clip(spec: SynthSpec, rng: np.random.Generator) -> tuple[AudioClip, Annotation]:
     """One seeded polyphonic clip with exactly known annotations.
 
     Event onsets land on the millisecond grid so the annotation file's three
     decimals are lossless.  At least `overlap_fraction` of the events are
     placed to overlap an event of another class, within the polyphony cap.
     """
-    sr = spec.sample_rate
+    sr = PIPELINE_SAMPLE_RATE
     n_samples = int(round(spec.clip_seconds * sr))
     n_events = int(rng.integers(spec.events_per_clip[0], spec.events_per_clip[1] + 1))
     want_overlaps = int(np.ceil(spec.overlap_fraction * n_events))
@@ -393,11 +392,10 @@ def synthesize_dataset(spec: SynthSpec, n_clips: int,
     Each clip draws from its own child stream, so clip i is identical no
     matter how many clips are requested.
     """
-    root = SeededRng(spec.seed)
     out = []
     for i in range(n_clips):
         clip_id = f"{name_prefix}_{i:04d}"
-        clip, ann = generate_clip(spec, root.child(clip_id))
+        clip, ann = generate_clip(spec, stream(spec.seed, clip_id))
         out.append((clip_id, clip, ann))
     return out
 

@@ -51,10 +51,6 @@ class AudioClip:
     def n_samples(self) -> int:
         return self.samples.shape[1]
 
-    @property
-    def duration(self) -> float:
-        return self.n_samples / self.sample_rate
-
 
 @dataclass(frozen=True)
 class TfrConfig:
@@ -162,14 +158,6 @@ class TfrWindow:
             raise DataError(f"valid frame count {self.valid} out of range")
 
 
-@dataclass
-class MelFilterbank:
-    """Triangular mel filters: matrix (n_filters, fft_bins) plus band edges."""
-
-    matrix: np.ndarray
-    edges_hz: np.ndarray         # (n_filters, 3): lower, center, upper
-
-
 def hz_to_mel(f):
     """HTK mel scale: 2595 * log10(1 + f / 700)."""
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -234,30 +222,29 @@ def stft_magnitude(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     return Tfr(values=values, config=out_cfg)
 
 
-def build_mel_filterbank(n: int, n_fft: int, sample_rate: int = PIPELINE_SAMPLE_RATE) -> MelFilterbank:
-    """`n` unit-peak triangular filters with centers evenly spaced in mel.
+def build_mel_filterbank(n: int, n_fft: int) -> np.ndarray:
+    """(n, 1 + n_fft/2) matrix of unit-peak triangular filters, centers even in mel.
 
     Filter i rises over [edge_i, edge_{i+1}] and falls over
     [edge_{i+1}, edge_{i+2}], where the n+2 edges are uniform on the mel
-    axis between 0 Hz and sample_rate/2.  Weights are evaluated at the
-    continuous FFT bin frequencies, so every bin strictly inside the band
-    receives a nonzero weight from some filter.
+    axis between 0 Hz and half the pipeline sample rate.  Weights are
+    evaluated at the continuous FFT bin frequencies, so every bin strictly
+    inside the band receives a nonzero weight from some filter.
     """
     fft_bins = 1 + n_fft // 2
     if n < 1:
         raise DataError("filterbank needs at least one filter")
     if n > fft_bins:
         raise DataError(f"{n} mel filters exceed the {fft_bins} FFT bins available")
-    points_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n + 2))
-    bin_hz = np.arange(fft_bins) * sample_rate / n_fft
+    points_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(PIPELINE_SAMPLE_RATE / 2.0), n + 2))
+    bin_hz = np.arange(fft_bins) * PIPELINE_SAMPLE_RATE / n_fft
     matrix = np.zeros((n, fft_bins))
     for i in range(n):
         lo, center, hi = points_hz[i], points_hz[i + 1], points_hz[i + 2]
         rising = (bin_hz - lo) / (center - lo)
         falling = (hi - bin_hz) / (hi - center)
         matrix[i] = np.clip(np.minimum(rising, falling), 0.0, None)
-    return MelFilterbank(matrix=matrix, edges_hz=np.column_stack(
-        [points_hz[:-2], points_hz[1:-1], points_hz[2:]]))
+    return matrix
 
 
 def logmel(clip: AudioClip, cfg: TfrConfig) -> Tfr:
@@ -265,8 +252,8 @@ def logmel(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     if cfg.kind != "logmel":
         raise DataError(f"logmel called with a {cfg.kind!r} config")
     mag = stft_magnitude(clip, cfg)
-    fb = build_mel_filterbank(cfg.n_mels, cfg.n_fft, clip.sample_rate)
-    mel = np.matmul(fb.matrix, mag.values)  # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
+    fb = build_mel_filterbank(cfg.n_mels, cfg.n_fft)
+    mel = np.matmul(fb, mag.values)  # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
     return Tfr(values=np.log(mel + cfg.log_floor), config=cfg)
 
 

@@ -94,8 +94,8 @@ class SegmentCounts:
         )
 
 
-def frames_per_segment(hop: float, segment_sec: float = 1.0) -> int:
-    return max(1, int(round(segment_sec / hop)))
+def frames_per_segment(hop: float) -> int:
+    return max(1, int(round(1.0 / hop)))
 
 
 def piece_lengths(lengths, n_frames: int) -> np.ndarray:

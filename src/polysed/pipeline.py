@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -38,11 +37,7 @@ from .errors import ConfigError, DataError
 from .fusion import (GRID_NOTE, PredictionSet, apply_threshold, fit_fusion,
                      fitted_error_rate, fuse)
 from .metrics import EventRoll, SegmentCounts, error_rate, segment_counts
-from .rng import SeededRng
-
-
-def derive_seed(base: int, tag: str) -> int:
-    return (base * 1000003 + zlib.crc32(tag.encode("utf-8"))) % (2 ** 63)
+from .rng import derive_seed, stream
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +102,7 @@ def run_synth(cfg: ExperimentConfig, out: Path) -> list[tuple[str, str]]:
         raise ConfigError("val_fraction leaves no training clips")
     rows: list[tuple[str, str]] = []
     dev = dataio.synthesize_dataset(ds.synth, ds.train_clips, name_prefix="dev")
-    eval_spec = dataio.SynthSpec(**{**ds.synth.__dict__,
-                                    "seed": derive_seed(ds.synth.seed, "eval-corpus")})
+    eval_spec = replace(ds.synth, seed=derive_seed(ds.synth.seed, "eval-corpus"))
     ev = dataio.synthesize_dataset(eval_spec, ds.eval_clips, name_prefix="eval")
     for i, (clip_id, clip, ann) in enumerate(dev):
         split = "train" if i < ds.train_clips - n_val else "val"
@@ -223,7 +217,7 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
         val_windows = _load_window_examples(cfg, tfr_name, out, "val")
         model = CapsNetModel.build(
             cfg.models[tfr_name], tfr_cfg.freq_bins, 2,
-            rng=SeededRng(cfg.seed).child(f"init:{tfr_name}"), dtype=dtype)
+            rng=stream(cfg.seed, f"init:{tfr_name}"), dtype=dtype)
         result = train(
             model, train_windows, val_windows,
             hop_seconds=tfr_cfg.hop_ms / 1000.0,
@@ -247,10 +241,9 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
 # predict
 # ---------------------------------------------------------------------------
 
-def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path,
-                splits: tuple[str, ...] = ("val", "eval")) -> dict:
-    """Frame scores for each requested split, valid frames only, clip order
-    as in the manifest."""
+def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
+    """Frame scores for the val and eval splits, valid frames only, clip
+    order as in the manifest."""
     out = Path(out)
     ckpt = _ckpt_path(out, tfr_name)
     if not ckpt.exists():
@@ -258,7 +251,7 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path,
     model, _ = dataio.read_checkpoint(ckpt)
     hop = dsp.parse_tfr_name(tfr_name).hop_ms / 1000.0
     written = {}
-    for split in splits:
+    for split in ("val", "eval"):
         parts = []
         for clip_id in clips_for_split(out, split):
             tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
@@ -307,13 +300,13 @@ def _check_vocabulary(found: list[str], expected: list[str], path) -> None:
     raise DataError(f"{path}: vocabulary length {len(found)} != config {len(expected)}")
 
 
-def run_fuse_fit(cfg: ExperimentConfig, out: Path, fit_split: str = "val") -> dict:
-    """Fit per-feature and joint fusion parameters on the fitting split."""
+def run_fuse_fit(cfg: ExperimentConfig, out: Path) -> dict:
+    """Fit per-feature and joint fusion parameters on the val split."""
     out = Path(out)
     fusion_dir = out / "fusion"
-    results = {"fit_split": fit_split, "single": {}, "fused": {}}
+    results = {"fit_split": "val", "single": {}, "fused": {}}
 
-    pset_all = _load_split(cfg, out, fit_split, cfg.fusion.tfrs)
+    pset_all = _load_split(cfg, out, "val", cfg.fusion.tfrs)
     for tfr_name, tfr_scores in zip(cfg.fusion.tfrs, pset_all.predictions):
         pset = replace(pset_all, predictions=[tfr_scores])
         params = fit_fusion(pset)

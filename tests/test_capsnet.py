@@ -11,7 +11,7 @@ from polysed.capsnet import (ActivityMatrix, CapsNetConfig, CapsNetModel, EarlyS
                              dynamic_routing, home_config, residential_config, squash, train)
 from polysed.errors import ConfigError, DataError, NumericError, ShapeError
 from polysed.metrics import EventRoll, error_rate, segment_counts
-from polysed.rng import SeededRng
+from polysed.rng import stream
 from polysed.tensor import Tensor, gradients
 
 
@@ -104,14 +104,14 @@ def test_routing_requires_iterations():
 # -- model shapes ------------------------------------------------------------------
 
 def test_home_config_output_shape():
-    model = CapsNetModel.build(home_config(3), freq_bins=240, channels=2, rng=SeededRng(0))
+    model = CapsNetModel.build(home_config(3), freq_bins=240, channels=2, rng=stream(0))
     win = np.random.default_rng(0).normal(size=(256, 240, 2))
     act = model.predict(win)
     assert act.values.shape == (256, 3)
 
 
 def test_residential_config_output_shape():
-    model = CapsNetModel.build(residential_config(5), freq_bins=64, channels=2, rng=SeededRng(0))
+    model = CapsNetModel.build(residential_config(5), freq_bins=64, channels=2, rng=stream(0))
     win = np.random.default_rng(1).normal(size=(256, 64, 2))
     act = model.predict(win)
     assert act.values.shape == (256, 5)
@@ -121,14 +121,14 @@ def test_train_forward_keeps_conv_inputs_not_columns():
     """The tape of one train-mode home_config window holds each conv's input
     and kernels, not its (C_in*kh*kw, oh*ow) im2col columns, which would
     add about 90 MB."""
-    model = CapsNetModel.build(home_config(3), freq_bins=96, channels=2, rng=SeededRng(0))
+    model = CapsNetModel.build(home_config(3), freq_bins=96, channels=2, rng=stream(0))
     rng = np.random.default_rng(5)
     win = rng.normal(size=(256, 96, 2))
     target = (rng.uniform(size=(256, 3)) < 0.3).astype(np.uint8)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        loss = detection_loss(model.forward(win, train_mode=True, rng=SeededRng(1)),
+        loss = detection_loss(model.forward(win, train_mode=True, rng=stream(1)),
                               target, mask=np.ones(256))
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -139,17 +139,17 @@ def test_train_forward_keeps_conv_inputs_not_columns():
 
 def test_build_rejects_indivisible_freq():
     with pytest.raises(ShapeError):
-        CapsNetModel.build(home_config(3), freq_bins=64, channels=2, rng=SeededRng(0))
+        CapsNetModel.build(home_config(3), freq_bins=64, channels=2, rng=stream(0))
 
 
 def test_forward_rejects_wrong_geometry():
-    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=SeededRng(0))
+    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=stream(0))
     with pytest.raises(ShapeError):
         model.forward(np.zeros((256, 12, 2)))
 
 
 def test_outputs_in_unit_interval():
-    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=SeededRng(4))
+    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=stream(4))
     win = np.random.default_rng(2).normal(size=(256, 8, 2)) * 3
     act = model.predict(win).values
     assert act.min() >= 0.0
@@ -157,7 +157,7 @@ def test_outputs_in_unit_interval():
 
 
 def test_zero_window_constant_rows():
-    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=SeededRng(5))
+    model = CapsNetModel.build(tiny_config(), freq_bins=8, channels=2, rng=stream(5))
     act = model.predict(np.zeros((256, 8, 2))).values
     assert np.allclose(act, act[0], atol=1e-12)
 
@@ -165,7 +165,7 @@ def test_zero_window_constant_rows():
 def test_detection_head_is_time_distributed():
     """Permuting the frame order of the head input permutes its output rows."""
     cfg = tiny_config()
-    model = CapsNetModel.build(cfg, freq_bins=8, channels=2, rng=SeededRng(6))
+    model = CapsNetModel.build(cfg, freq_bins=8, channels=2, rng=stream(6))
     rng = np.random.default_rng(3)
     u = rng.normal(size=(16, cfg.n_primary_caps, 1, 1, cfg.primary_cap_dim))
 
@@ -233,7 +233,7 @@ def _flatten_params(params):
 def test_full_model_gradcheck_miniature(routing_iters):
     """Analytic grads through conv, pooling, capsules, and routing match FD."""
     cfg = tiny_config(routing_iters=routing_iters)
-    rng_model = SeededRng(100 + routing_iters)
+    rng_model = stream(100 + routing_iters)
     model = CapsNetModel.build(cfg, freq_bins=8, channels=2, rng=rng_model)
     rng = np.random.default_rng(8)
     t_frames = 4
@@ -315,7 +315,7 @@ def test_train_deterministic_history():
     kwargs = dict(hop_seconds=0.02, epochs=3, patience=20, batch_size=4, seed=11)
 
     def run():
-        model = CapsNetModel.build(tiny_config(dropout_rate=0.2), 8, 2, SeededRng(42))
+        model = CapsNetModel.build(tiny_config(dropout_rate=0.2), 8, 2, stream(42))
         return train(model, windows[:4], windows[4:], **kwargs)
 
     a, b = run(), run()
@@ -356,7 +356,7 @@ def test_validation_error_rate_counts_segments_per_clip():
 
 
 def test_train_requires_both_splits():
-    model = CapsNetModel.build(tiny_config(), 8, 2, SeededRng(0))
+    model = CapsNetModel.build(tiny_config(), 8, 2, stream(0))
     with pytest.raises(DataError):
         train(model, [], [], hop_seconds=0.02)
 
@@ -367,7 +367,7 @@ def test_train_learns_separable_tones():
     model = CapsNetModel.build(
         tiny_config(cnn_kernels=(4, 4), n_primary_caps=3, primary_cap_dim=4,
                     output_cap_dim=4, dropout_rate=0.0, l2_weight=0.0),
-        8, 2, SeededRng(7))
+        8, 2, stream(7))
     result = train(model, windows, windows, hop_seconds=0.02, epochs=100,
                    patience=100, batch_size=4, seed=7)
     assert result.best_er < 0.2

@@ -385,6 +385,10 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
      "classes = a:bogus:100-200"),
     ("polyphony = 2", "polyphony = 0"),
     ("events_per_clip = 2, 4", "events_per_clip = 4, 2"),
+    ("val_fraction = 0.34", "val_fraction = nan"),
+    ("clip_seconds = 6.0", "clip_seconds = inf"),
+    ("eval_clips = 2", "eval_clips = 0"),
+    ("[model logmel_32]", "[model logmel_16]"),
 ])
 def test_bad_config_value_exits_1_naming_its_line(tmp_path, capsys, line, bad):
     lines = TINY_CFG.splitlines()

@@ -17,7 +17,7 @@ from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll
 from polysed.dsp import AudioClip, extract, logmel_config
 from polysed.errors import DataError
 from polysed.fusion import FusionParams
-from polysed.rng import SeededRng
+from polysed.rng import stream
 
 THREE_CLASSES = (
     ClassSpec("low_tone", "tone", 300.0, 600.0),
@@ -152,7 +152,7 @@ def _spec(seed=0, **over):
 
 
 def test_generate_clip_annotations_within_bounds():
-    clip, ann = generate_clip(_spec(), SeededRng(0).child("c"))
+    clip, ann = generate_clip(_spec(), stream(0, "c"))
     assert clip.channels == 2
     assert clip.n_samples == 4 * 16000
     assert len(ann.events) >= 2
@@ -162,7 +162,7 @@ def test_generate_clip_annotations_within_bounds():
 
 
 def test_generate_clip_respects_polyphony():
-    _, ann = generate_clip(_spec(seed=5), SeededRng(5).child("c"))
+    _, ann = generate_clip(_spec(seed=5), stream(5, "c"))
     times = np.arange(0, 4.0, 0.001)
     active = np.zeros_like(times, dtype=int)
     for onset, offset, _ in ann.events:
@@ -202,13 +202,13 @@ def test_infeasible_spec_raises():
     spec = _spec(clip_seconds=2.5, polyphony=1, events_per_clip=(12, 12),
                  event_seconds=(1.0, 2.0))
     with pytest.raises(DataError, match="polyphony"):
-        generate_clip(spec, SeededRng(0).child("c"))
+        generate_clip(spec, stream(0, "c"))
 
 
 # -- feature archive --------------------------------------------------------------------
 
 def test_tfr_archive_bit_exact_roundtrip(tmp_path):
-    clip, _ = generate_clip(_spec(), SeededRng(1).child("c"))
+    clip, _ = generate_clip(_spec(), stream(1, "c"))
     tfr = extract(clip, logmel_config(40))
     p1 = tmp_path / "a.tfr"
     p2 = tmp_path / "b.tfr"
@@ -231,7 +231,7 @@ def test_tfr_archive_rejects_other_files(tmp_path):
 # -- checkpoint ---------------------------------------------------------------------------
 
 def test_checkpoint_bit_exact_roundtrip(tmp_path):
-    model = CapsNetModel.build(home_config(3), freq_bins=240, channels=2, rng=SeededRng(3))
+    model = CapsNetModel.build(home_config(3), freq_bins=240, channels=2, rng=stream(3))
     history = [{"epoch": 1, "train_loss": 0.7071067811865476, "val_er": 0.925}]
     p1 = tmp_path / "m.ckpt"
     p2 = tmp_path / "m2.ckpt"
@@ -296,7 +296,7 @@ def _write_checkpoint(path):
     config = CapsNetConfig(cnn_kernels=(2,), cnn_kernel_dim=3, pool_dims=(2,),
                            n_primary_caps=2, primary_cap_dim=2, output_cap_dim=2,
                            routing_iters=1, n_events=2)
-    write_checkpoint(CapsNetModel.build(config, freq_bins=8, channels=2, rng=SeededRng(0)),
+    write_checkpoint(CapsNetModel.build(config, freq_bins=8, channels=2, rng=stream(0)),
                      path, history=[{"epoch": 1}])
     return read_checkpoint
 

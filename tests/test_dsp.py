@@ -123,9 +123,9 @@ def test_mel_scale_values():
 
 def test_filterbank_rows_unimodal_nonnegative():
     fb = build_mel_filterbank(40, 1024)
-    assert fb.matrix.shape == (40, 513)
-    assert np.all(fb.matrix >= 0)
-    for row in fb.matrix:
+    assert fb.shape == (40, 513)
+    assert np.all(fb >= 0)
+    for row in fb:
         support = np.flatnonzero(row)
         if len(support) == 0:
             continue
@@ -136,14 +136,14 @@ def test_filterbank_rows_unimodal_nonnegative():
 
 def test_filterbank_centers_increasing():
     fb = build_mel_filterbank(64, 1024)
-    assert np.all(np.diff(fb.edges_hz[:, 1]) > 0)
+    assert np.all(np.diff(fb.argmax(axis=1)) > 0)
 
 
 @pytest.mark.parametrize("n", [40, 64, 128])
 def test_filterbank_covers_every_bin(n):
     fb = build_mel_filterbank(n, 1024)
     interior = slice(1, 512)  # bins strictly inside (0, sr/2)
-    coverage = fb.matrix[:, interior].max(axis=0)
+    coverage = fb[:, interior].max(axis=0)
     assert np.all(coverage > 0)
 
 
@@ -172,10 +172,10 @@ def test_logmel_matches_filterbank_times_stft():
     lm = logmel(clip, cfg)
     mag = stft_magnitude(clip, stft_config(cfg.n_fft))
     fb = build_mel_filterbank(64, cfg.n_fft)
-    expected = np.log(np.matmul(fb.matrix, mag.values) + cfg.log_floor)
+    expected = np.log(np.matmul(fb, mag.values) + cfg.log_floor)
     np.testing.assert_array_equal(lm.values, expected)
     # independent of the projection's BLAS path: the plain per-frame sum
-    independent = np.log(np.einsum("tfc,nf->tnc", mag.values, fb.matrix) + cfg.log_floor)
+    independent = np.log(np.einsum("tfc,nf->tnc", mag.values, fb) + cfg.log_floor)
     np.testing.assert_allclose(lm.values, independent, rtol=1e-12, atol=0)
     assert lm.n_frames == mag.n_frames
 
