@@ -30,7 +30,7 @@ import numpy as np
 from . import tensor as T
 from .dsp import WINDOW_FRAMES
 from .errors import ConfigError, DataError, NumericError, ShapeError
-from .metrics import EventRoll, error_rate, segment_counts
+from .metrics import EventRoll, error_rate, is_binary, segment_counts
 from .optim import AdaDeltaState, adadelta_step
 from .rng import stream
 from .tensor import Tensor, gradients, no_grad
@@ -256,7 +256,7 @@ def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = N
     target = np.asarray(target)
     if target.shape != pred.shape:
         raise ShapeError(f"target shape {target.shape} != prediction shape {pred.shape}")
-    if not np.isin(target, (0, 1)).all():
+    if not is_binary(target):
         raise DataError("targets must be binary")
     y = target.astype(pred.dtype.type)
     p = T.clip(pred, LOSS_CLAMP, 1.0 - LOSS_CLAMP)

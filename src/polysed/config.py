@@ -29,6 +29,16 @@ class DatasetConfig:
     eval_clips: int = 20
     val_fraction: float = 0.2
 
+    def __post_init__(self):
+        if self.n_val >= self.train_clips:
+            raise ConfigError(f"val_fraction {self.val_fraction} of train_clips "
+                              f"{self.train_clips} leaves no training clips")
+
+    @property
+    def n_val(self) -> int:
+        """Validation clips, taken from the tail of the training clips; at least one."""
+        return max(1, int(round(self.val_fraction * self.train_clips)))
+
     @property
     def vocabulary(self) -> list[str]:
         return self.synth.vocabulary
@@ -211,7 +221,7 @@ def load_config(path) -> ExperimentConfig:
                 clip_seconds=_finite, polyphony=int, events_per_clip=_pair(int),
                 event_seconds=_pair(_finite), snr_db=_pair(_finite), overlap_fraction=_finite,
                 seed=int))
-            dataset = DatasetConfig(synth=synth, **sec.given(
+            dataset = sec.build(DatasetConfig, synth=synth, **sec.given(
                 train_clips=_count, eval_clips=_count, val_fraction=_finite))
             sec.finish()
         elif name.startswith("model "):

@@ -46,6 +46,7 @@ from .rng import stream
 from .tensor import Tensor
 
 PCM16_SCALE = 32768.0
+FADE_SECONDS = 0.01  # each synthetic event fades in and out over this long
 
 
 def read_file(path) -> bytes:
@@ -273,6 +274,12 @@ class SynthSpec:
             raise DataError("polyphony must be at least 1")
         if self.events_per_clip[0] > self.events_per_clip[1]:
             raise DataError("events_per_clip range is inverted")
+        if not self.event_seconds[0] >= FADE_SECONDS:
+            raise DataError(f"event_seconds must be at least {FADE_SECONDS}, the fade length")
+        if self.event_seconds[0] > self.event_seconds[1]:
+            raise DataError("event_seconds range is inverted")
+        if self.snr_db[0] > self.snr_db[1]:
+            raise DataError("snr_db range is inverted")
         if self.event_seconds[1] >= self.clip_seconds:
             raise DataError("event_seconds must stay below clip_seconds")
 
@@ -300,7 +307,7 @@ def _event_wave(cls: ClassSpec, duration: float, sr: int, rng: np.random.Generat
         peak = np.max(np.abs(x))
         if peak > 0:
             x = x / peak
-    ramp = max(1, int(0.01 * sr))  # 10 ms fades to avoid clicks
+    ramp = max(1, int(FADE_SECONDS * sr))  # fades avoid clicks
     env = np.ones(n)
     env[:ramp] = np.linspace(0, 1, ramp)
     env[-ramp:] = np.linspace(1, 0, ramp)

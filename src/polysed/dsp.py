@@ -83,11 +83,13 @@ class TfrConfig:
             return f"stft_{self.n_fft}"
         return f"logmel_{self.n_mels}"
 
-    def frame_len(self, sample_rate: int) -> int:
-        return int(round(self.frame_len_ms * sample_rate / 1000.0))
+    def frame_len(self) -> int:
+        """Samples per frame at PIPELINE_SAMPLE_RATE."""
+        return int(round(self.frame_len_ms * PIPELINE_SAMPLE_RATE / 1000.0))
 
-    def hop(self, sample_rate: int) -> int:
-        return int(round(self.hop_ms * sample_rate / 1000.0))
+    def hop(self) -> int:
+        """Samples per hop at PIPELINE_SAMPLE_RATE."""
+        return int(round(self.hop_ms * PIPELINE_SAMPLE_RATE / 1000.0))
 
 
 def stft_config(n_fft: int) -> TfrConfig:
@@ -205,8 +207,8 @@ def stft_magnitude(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     """Per-channel magnitude spectrogram, shape (frames, 1 + n_fft/2, C)."""
     if clip.sample_rate != PIPELINE_SAMPLE_RATE:
         raise DataError(f"expected {PIPELINE_SAMPLE_RATE} Hz input, got {clip.sample_rate} Hz")
-    frame_len = cfg.frame_len(clip.sample_rate)
-    hop = cfg.hop(clip.sample_rate)
+    frame_len = cfg.frame_len()
+    hop = cfg.hop()
     if clip.n_samples < frame_len:
         raise DataError(f"clip of {clip.n_samples} samples is shorter than one {frame_len}-sample frame")
     if frame_len > cfg.n_fft:

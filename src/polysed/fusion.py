@@ -9,6 +9,13 @@ with w_k the reciprocal of detector k's mean squared error against the
 ground truth, so more accurate detectors dominate.  The fused scores are
 binarized with one threshold per event (>= activates).
 
+``fuse`` computes this as one weighted base minus one offset: with
+wn = w / sum(w), fused = clip(base - c, 0, 1), where base = sum_k wn_k y_k
+(``weighted_base``) and c = sum_k wn_k b_k (``bias_offset``).  The biases
+enter the fused scores only through their weighted sum c, so the m
+per-detector biases are identifiable only through it; the grid search and
+the stored parameters keep the per-detector form of the method.
+
 Bias and threshold values are fitted by deterministic coordinate descent
 over fixed grids, scored with the segment-based error rate on the clip grid
 that evaluation uses: the prediction set carries its clips' frame counts.
@@ -22,21 +29,25 @@ segment iff some frame there reaches its threshold, that is iff the
 segment's maximum fused score does; and per segment S + D + I = max(FN, FP).
 So the maxima of the fused scores over the segments of the clips
 (``metrics.segment_starts`` of the clip lengths) are enough to count the
-errors of any threshold exactly, in integers.  Only a bias trial changes the
-fused scores and recomputes the maxima; a threshold trial compares one event
-column of them against the candidate.
+errors of any threshold exactly, in integers.  The base and its segment
+maxima are computed once per fit.  Subtracting a constant and clipping are
+both monotone in floating point, so they commute with a maximum bit for
+bit: a bias trial is one scalar shift of the cached maxima,
+clip(max(base) - c, 0, 1), and a threshold trial compares one event column
+of them against the candidate.
 ``fitted_error_rate`` and ``blockwise_counts`` remain the reference
 definition of the fitted error rate that the search reproduces.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, NumericError, ShapeError
-from .metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
+from .metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment, is_binary,
                       piece_lengths, segment_counts, segment_starts)
 
 MSE_CLAMP = 1e-12
@@ -77,7 +88,7 @@ class PredictionSet:
                 raise NumericError(f"prediction {k} holds non-finite scores")
             cleaned.append(p)
         self.predictions = cleaned
-        if not np.isin(self.truth, (0, 1)).all():
+        if not is_binary(self.truth):
             raise DataError("ground truth must be binary")
         if not self.labels:
             self.labels = [f"event_{i}" for i in range(shape[1])]
@@ -125,21 +136,42 @@ def mse_weights(preds: PredictionSet) -> np.ndarray:
     return out
 
 
-def fuse(preds: PredictionSet, params: FusionParams) -> np.ndarray:
-    """Weighted mean of bias-corrected scores, clamped to [0, 1]."""
-    w = params.weights
-    if len(w) != preds.n_models:
-        raise ShapeError(f"{len(w)} weights for {preds.n_models} prediction matrices")
+def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (m,):
+        raise ShapeError(f"{w.size} weights for {m} prediction matrices")
     if np.any(w <= 0):
         raise DataError("fusion weights must be positive")
-    wn = w / w.sum()  # normalizing first keeps m=1 an exact identity
-    acc = np.zeros_like(preds.predictions[0])
-    term = np.empty_like(acc)  # one scratch buffer, reused for every detector
-    for k, p in enumerate(preds.predictions):
-        np.subtract(p, params.biases[k], out=term)
-        np.multiply(wn[k], term, out=term)
-        acc += term
-    return np.clip(acc, 0.0, 1.0, out=acc)
+    return w / w.sum()  # normalizing first keeps m=1 an exact identity
+
+
+def weighted_base(preds: PredictionSet, weights: np.ndarray) -> np.ndarray:
+    """sum_k wn_k * y_k with normalized weights: the fused scores before the
+    bias offset and the clamp."""
+    wn = _normalized(weights, preds.n_models)
+    base = np.multiply(wn[0], preds.predictions[0])
+    term = np.empty_like(base)  # one scratch buffer, reused for every detector
+    for w, p in zip(wn[1:], preds.predictions[1:]):
+        np.multiply(w, p, out=term)
+        base += term
+    return base
+
+
+def bias_offset(weights: np.ndarray, biases: np.ndarray) -> float:
+    """c = sum_k wn_k * b_k, the one scalar through which the biases enter
+    the fused scores."""
+    biases = np.asarray(biases, dtype=np.float64)
+    if biases.shape != np.shape(weights):
+        raise ShapeError(f"{biases.size} biases for {np.size(weights)} weights")
+    return math.fsum(_normalized(weights, biases.size) * biases)
+
+
+def fuse(preds: PredictionSet, params: FusionParams) -> np.ndarray:
+    """Weighted mean of bias-corrected scores, clamped to [0, 1]:
+    clip(weighted_base - bias_offset, 0, 1)."""
+    base = weighted_base(preds, params.weights)
+    np.subtract(base, bias_offset(params.weights, params.biases), out=base)
+    return np.clip(base, 0.0, 1.0, out=base)
 
 
 def apply_threshold(fused: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -183,9 +215,10 @@ def fit_fusion(preds: PredictionSet, bias_grid: tuple = BIAS_GRID,
     ``metrics.segment_starts`` of the clip lengths says: thresholding the
     maxima gives exactly the segment activity of the thresholded frames, so
     the integer error count sum(max(FN, FP)) over N orders the trials exactly
-    as ``fitted_error_rate`` does, and the result is the same.  A bias trial
-    fuses the split once and takes the maxima; a threshold trial reuses the
-    maxima of the current biases.
+    as ``fitted_error_rate`` does, and the result is the same.  The weighted
+    base and its maxima are computed once; a bias trial shifts them by its
+    ``bias_offset`` and clamps, which equals the maxima of ``fuse`` bit for
+    bit; a threshold trial reuses the maxima of the current biases.
     """
     threshold_values = np.asarray(threshold_grid, dtype=np.float64)
     _check_ranges(np.asarray(bias_grid, dtype=np.float64), threshold_values)
@@ -201,9 +234,10 @@ def fit_fusion(preds: PredictionSet, bias_grid: tuple = BIAS_GRID,
     starts = segment_starts(preds.lengths, frames_per_segment(preds.hop))
     ref = np.logical_or.reduceat(preds.truth != 0, starts, axis=0)
 
+    base_maxima = np.maximum.reduceat(weighted_base(preds, weights), starts, axis=0)
+
     def segment_maxima(b):
-        return np.maximum.reduceat(fuse(preds, FusionParams(weights, b, thresholds)),
-                                   starts, axis=0)
+        return np.clip(base_maxima - bias_offset(weights, b), 0.0, 1.0)
 
     maxima = segment_maxima(biases)
     active = maxima >= thresholds

@@ -28,6 +28,12 @@ import numpy as np
 from .errors import DataError, ShapeError
 
 
+def is_binary(values: np.ndarray) -> bool:
+    """Whether every entry equals 0 or 1 (-0.0 does, NaN does not)."""
+    v = np.asarray(values)
+    return bool(((v == 0) | (v == 1)).all())
+
+
 @dataclass
 class EventRoll:
     """Binary activity matrix (frames x events) on a fixed frame hop."""
@@ -40,7 +46,7 @@ class EventRoll:
         v = np.asarray(self.values)
         if v.ndim != 2:
             raise ShapeError(f"event roll must be 2-d, got shape {v.shape}")
-        if not np.isin(v, (0, 1)).all():
+        if not is_binary(v):
             raise DataError("event roll entries must be 0 or 1")
         if self.hop <= 0:
             raise DataError(f"hop must be positive, got {self.hop}")

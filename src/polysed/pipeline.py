@@ -97,15 +97,12 @@ def run_synth(cfg: ExperimentConfig, out: Path) -> list[tuple[str, str]]:
     """Generate the corpus and write the split manifest."""
     out = Path(out)
     ds = cfg.dataset
-    n_val = max(1, int(round(ds.val_fraction * ds.train_clips)))
-    if n_val >= ds.train_clips:
-        raise ConfigError("val_fraction leaves no training clips")
     rows: list[tuple[str, str]] = []
     dev = dataio.synthesize_dataset(ds.synth, ds.train_clips, name_prefix="dev")
     eval_spec = replace(ds.synth, seed=derive_seed(ds.synth.seed, "eval-corpus"))
     ev = dataio.synthesize_dataset(eval_spec, ds.eval_clips, name_prefix="eval")
     for i, (clip_id, clip, ann) in enumerate(dev):
-        split = "train" if i < ds.train_clips - n_val else "val"
+        split = "train" if i < ds.train_clips - ds.n_val else "val"
         rows.append((clip_id, split))
         _write_clip(out, split, clip_id, clip, ann)
     for clip_id, clip, ann in ev:

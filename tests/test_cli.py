@@ -25,6 +25,8 @@ eval_clips = 2
 val_fraction = 0.34
 polyphony = 2
 events_per_clip = 2, 4
+event_seconds = 0.6, 2.0
+snr_db = 6.0, 20.0
 seed = 77
 
 [model logmel_16]
@@ -386,6 +388,12 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
     ("polyphony = 2", "polyphony = 0"),
     ("events_per_clip = 2, 4", "events_per_clip = 4, 2"),
     ("val_fraction = 0.34", "val_fraction = nan"),
+    ("val_fraction = 0.34", "val_fraction = 5"),
+    ("val_fraction = 0.34", "val_fraction = 0.95"),
+    ("event_seconds = 0.6, 2.0", "event_seconds = -1, 2"),
+    ("event_seconds = 0.6, 2.0", "event_seconds = 0, 2"),
+    ("event_seconds = 0.6, 2.0", "event_seconds = 2.0, 0.6"),
+    ("snr_db = 6.0, 20.0", "snr_db = 20, 6"),
     ("clip_seconds = 6.0", "clip_seconds = inf"),
     ("eval_clips = 2", "eval_clips = 0"),
     ("[model logmel_32]", "[model logmel_16]"),

@@ -87,7 +87,7 @@ def test_stft_matches_direct_dft():
     clip = _noise_clip(seconds=0.2, seed=3)
     cfg = stft_config(1024)
     tfr = stft_magnitude(clip, cfg)
-    frame_len, hop = cfg.frame_len(16000), cfg.hop(16000)
+    frame_len, hop = cfg.frame_len(), cfg.hop()
     window = hann_window(frame_len)
     for t in (0, 3):
         for ch in (0, 1):
@@ -102,7 +102,7 @@ def test_stft_parseval_energy():
     clip = _noise_clip(seconds=0.2, seed=4)
     cfg = stft_config(1024)
     tfr = stft_magnitude(clip, cfg)
-    frame_len, hop = cfg.frame_len(16000), cfg.hop(16000)
+    frame_len, hop = cfg.frame_len(), cfg.hop()
     window = hann_window(frame_len)
     for t in (0, 2, 5):
         frame = clip.samples[0, t * hop:t * hop + frame_len] * window

@@ -5,10 +5,12 @@ import pytest
 
 from helpers import reference_fit_fusion
 
+from polysed import fusion
 from polysed.errors import DataError, NumericError, ShapeError
 from polysed.fusion import (BIAS_GRID, THRESHOLD_GRID, FusionParams, PredictionSet,
-                            apply_threshold, fit_fusion, fitted_error_rate, fuse,
-                            mse_weights)
+                            apply_threshold, bias_offset, fit_fusion, fitted_error_rate, fuse,
+                            mse_weights, weighted_base)
+from polysed.metrics import frames_per_segment, segment_starts
 
 
 def _pset(preds, truth, hop=0.02, lengths=None):
@@ -112,6 +114,29 @@ def test_fuse_monotone_in_each_input():
     np.testing.assert_array_equal(after[mask], base[mask])
 
 
+def test_segment_maxima_of_fuse_are_shifted_maxima_of_the_base():
+    """max over a segment of fuse(...) equals clip(max(base) - c, 0, 1) bit
+    for bit, for any weights, biases and clip layout, the clamps included."""
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        m, n = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        hop = float(rng.choice([0.02, 0.05, 0.1]))
+        lengths = [int(x) for x in rng.integers(0, 120, size=int(rng.integers(1, 5)))]
+        lengths[0] += 1
+        t = sum(lengths)
+        preds = [rng.uniform(-0.3, 1.3, size=(t, n)).clip(0, 1) for _ in range(m)]
+        pset = _pset(preds, np.zeros((t, n), dtype=int), hop=hop, lengths=lengths)
+        weights = rng.uniform(0.01, 100.0, size=m)
+        starts = segment_starts(pset.lengths, frames_per_segment(hop))
+        base_maxima = np.maximum.reduceat(weighted_base(pset, weights), starts, axis=0)
+        for biases in (rng.choice(BIAS_GRID, size=m), rng.uniform(-1, 1, size=m),
+                       np.full(m, -1.0), np.full(m, 1.0)):
+            params = FusionParams(weights, biases, np.full(n, 0.5))
+            fused_maxima = np.maximum.reduceat(fuse(pset, params), starts, axis=0)
+            shifted = np.clip(base_maxima - bias_offset(weights, biases), 0.0, 1.0)
+            np.testing.assert_array_equal(fused_maxima, shifted)
+
+
 def test_fuse_rejects_nonpositive_weight():
     with pytest.raises(DataError):
         _params([0.0], [0.0], [0.5])
@@ -121,6 +146,14 @@ def test_fuse_weight_count_mismatch():
     truth = np.zeros((5, 1), dtype=int)
     with pytest.raises(ShapeError):
         fuse(_pset([np.zeros((5, 1))], truth), _params([1.0, 1.0], [0.0, 0.0], [0.5]))
+
+
+@pytest.mark.parametrize("biases", [[0.0], [0.0, 0.1, 0.2]])
+def test_fuse_bias_count_mismatch(biases):
+    truth = np.zeros((5, 1), dtype=int)
+    pset = _pset([np.zeros((5, 1)), np.ones((5, 1))], truth)
+    with pytest.raises(ShapeError, match="biases for 2 weights"):
+        fuse(pset, _params([1.0, 2.0], biases, [0.5]))
 
 
 # -- threshold -------------------------------------------------------------------
@@ -321,6 +354,20 @@ def test_fit_fusion_matches_reference_random_geometries():
         pset = _random_case(rng, m, n, t, hop)
         pset = replace(pset, lengths=_blocks(t, int(rng.integers(5, 300))))
         _assert_matches_reference(pset, **_custom_grids(rng))
+
+
+@pytest.mark.parametrize("bias_grid", [(0.0,), BIAS_GRID,
+                                       tuple(np.round(np.linspace(-1, 1, 81), 3))])
+def test_fit_fusion_computes_the_weighted_base_once(monkeypatch, bias_grid):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return weighted_base(*args)
+
+    monkeypatch.setattr(fusion, "weighted_base", counting)
+    fit_fusion(_complementary_pair(seed=5), bias_grid=bias_grid)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("grids", [{"bias_grid": (0.0, 1.5)},

@@ -3,9 +3,12 @@ import pytest
 
 from helpers import segment_counts_oracle
 
+from polysed.capsnet import detection_loss
 from polysed.errors import DataError, ShapeError
+from polysed.fusion import PredictionSet
 from polysed.metrics import (EventRoll, SegmentCounts, error_rate, frames_per_segment,
-                             segment_counts, segment_starts)
+                             is_binary, segment_counts, segment_starts)
+from polysed.tensor import Tensor
 
 LABELS3 = ["a", "b", "c"]
 
@@ -92,6 +95,31 @@ def test_zero_reference_error():
 def test_invalid_roll_values():
     with pytest.raises(DataError):
         _roll([[2]])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.bool_, np.float32, np.float64])
+def test_is_binary_agrees_with_isin(dtype):
+    rng = np.random.default_rng(5)
+    specials = [2, -1, 0.5, -0.0, np.nan]
+    for _ in range(200):
+        v = rng.integers(0, 2, size=(int(rng.integers(0, 6)), 3)).astype(float)
+        if v.size and rng.uniform() < 0.7:
+            v.flat[int(rng.integers(v.size))] = specials[int(rng.integers(len(specials)))]
+        with np.errstate(invalid="ignore"):  # NaN and -1 cast to ints and uint8
+            v = v.astype(dtype)
+        assert is_binary(v) == np.isin(v, (0, 1)).all(), v
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_every_binary_check_rejects_non_binary_input(bad):
+    values = np.zeros((4, 2))
+    values[1, 1] = bad
+    with pytest.raises(DataError, match="0 or 1"):
+        _roll(values)
+    with pytest.raises(DataError, match="binary"):
+        PredictionSet([np.full((4, 2), 0.5)], values, hop=0.02)
+    with pytest.raises(DataError, match="binary"):
+        detection_loss(Tensor(np.full((4, 2), 0.5)), values)
 
 
 def _oracle_per_piece(ref_m, pred_m, lengths, frames_per_seg):
