@@ -54,15 +54,18 @@ class CapsNetConfig:
     def __post_init__(self):
         object.__setattr__(self, "cnn_kernels", tuple(int(k) for k in self.cnn_kernels))
         object.__setattr__(self, "pool_dims", tuple(int(p) for p in self.pool_dims))
+        for key in ("cnn_kernels", "cnn_kernel_dim", "pool_dims", "n_primary_caps",
+                    "primary_cap_dim", "output_cap_dim", "routing_iters", "n_events"):
+            value = getattr(self, key)
+            if min(value if isinstance(value, tuple) else (value,), default=0) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
         if len(self.cnn_kernels) != len(self.pool_dims):
             raise ConfigError(
                 f"{len(self.cnn_kernels)} conv layers but {len(self.pool_dims)} pooling factors")
-        if self.routing_iters < 1:
-            raise ConfigError("routing needs at least one iteration")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout rate {self.dropout_rate} outside [0, 1)")
-        if self.n_events < 1:
-            raise ConfigError("need at least one event class")
+        if not self.l2_weight >= 0.0:
+            raise ConfigError(f"l2_weight must be nonnegative, got {self.l2_weight}")
 
     @property
     def pool_product(self) -> int:
@@ -337,9 +340,7 @@ def _validation_error_rate(model: CapsNetModel, windows: list[WindowExample],
 
 def train(model: CapsNetModel, train_windows: list[WindowExample],
           val_windows: list[WindowExample], *, hop_seconds: float,
-          epochs: int = 100, patience: int = 20, batch_size: int = 8,
-          seed: int = 0, lr: float = 1.0, rho: float = 0.95,
-          epsilon: float = 1e-6, labels: list[str] | None = None) -> TrainResult:
+          epochs: int, patience: int, batch_size: int, seed: int) -> TrainResult:
     """AdaDelta training with per-epoch validation ER and early stopping.
 
     The best-ER parameters are returned (and installed on the model), not
@@ -348,10 +349,10 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
     """
     if not train_windows or not val_windows:
         raise DataError("need at least one training and one validation window")
-    labels = labels or [f"event_{i}" for i in range(model.config.n_events)]
+    labels = [f"event_{i}" for i in range(model.config.n_events)]  # names only; ER ignores them
     shuffle_rng = stream(seed, "shuffle")
     dropout_rng = stream(seed, "dropout")
-    state = AdaDeltaState(rho=rho, epsilon=epsilon, lr=lr)
+    state = AdaDeltaState()
     stopper = EarlyStopping(patience)
     result = TrainResult(parameters=model.clone_parameters())
 

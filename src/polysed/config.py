@@ -30,6 +30,8 @@ class DatasetConfig:
     val_fraction: float = 0.2
 
     def __post_init__(self):
+        if not 0.0 <= self.val_fraction < 1.0:
+            raise ConfigError(f"val_fraction {self.val_fraction} outside [0, 1)")
         if self.n_val >= self.train_clips:
             raise ConfigError(f"val_fraction {self.val_fraction} of train_clips "
                               f"{self.train_clips} leaves no training clips")
@@ -50,9 +52,6 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 8
     precision: str = "f64"
-    lr: float = 1.0
-    rho: float = 0.95
-    epsilon: float = 1e-6
 
 
 @dataclass
@@ -198,8 +197,11 @@ def _classes(value: str) -> tuple[ClassSpec, ...]:
     return tuple(out)
 
 
-def _str_list(value: str) -> list[str]:
-    return [v.strip() for v in value.split(",") if v.strip()]
+def _names(value: str) -> list[str]:
+    names = [v.strip() for v in value.split(",") if v.strip()]
+    if len(set(names)) != len(names):
+        raise ConfigError(f"names a feature twice in {value!r}")
+    return names
 
 
 def load_config(path) -> ExperimentConfig:
@@ -248,12 +250,11 @@ def load_config(path) -> ExperimentConfig:
             sec.finish()
         elif name == "train":
             train = TrainConfig(**sec.given(
-                epochs=_count, patience=_count, batch_size=_count, precision=_precision,
-                lr=_finite, rho=_finite, epsilon=_finite))
+                epochs=_count, patience=_count, batch_size=_count, precision=_precision))
             sec.finish()
         elif name == "fusion":
             sec.entries.pop("block_len", None)  # retired: fitting counts per clip
-            fusion = FusionConfig(**sec.given(tfrs=_str_list))
+            fusion = FusionConfig(**sec.given(tfrs=_names))
             sec.finish()
         else:
             raise ConfigError(f"{path}:{lineno}: unknown section [{name}]")

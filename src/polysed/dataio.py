@@ -10,7 +10,9 @@ Formats (all little-endian, all round-trip exactly as documented):
 * Feature archive (.tfr): magic ``PSTF``, version u32, kind u8, channels
   u8, freq bins u32, frame count u32, n_fft u32, n_mels u32, hop ms f64,
   frame length ms f64, log floor f64, then float32 frames in row-major
-  (frame, bin, channel) order.
+  (frame, bin, channel) order.  The three framing values are always the
+  method's (``dsp.HOP_MS``, ``FRAME_MS``, ``LOG_FLOOR``); reading rejects
+  any other.
 * Checkpoint (.ckpt): magic ``PSCK``, version u32, JSON header length u64,
   JSON header (model config, geometry, history, provenance, parameter
   manifest with offsets), then raw float64/float32 parameter blobs.
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .capsnet import CapsNetConfig, CapsNetModel
-from .dsp import PIPELINE_SAMPLE_RATE, AudioClip, Tfr, TfrConfig
+from .dsp import FRAME_MS, HOP_MS, LOG_FLOOR, PIPELINE_SAMPLE_RATE, AudioClip, Tfr, TfrConfig
 from .errors import DataError, PolysedError
 from .fusion import FusionParams
 from .metrics import EventRoll
@@ -252,6 +254,9 @@ class ClassSpec:
             raise DataError(f"unknown generator kind {self.kind!r}")
         if not 0 < self.freq_lo < self.freq_hi:
             raise DataError(f"bad frequency band [{self.freq_lo}, {self.freq_hi}]")
+        if self.freq_hi > PIPELINE_SAMPLE_RATE / 2:
+            raise DataError(f"band of {self.label!r} reaches {self.freq_hi} Hz, above the "
+                            f"{PIPELINE_SAMPLE_RATE // 2} Hz Nyquist limit")
 
 
 @dataclass(frozen=True)
@@ -272,8 +277,12 @@ class SynthSpec:
             raise DataError("need at least one event class")
         if self.polyphony < 1:
             raise DataError("polyphony must be at least 1")
-        if self.events_per_clip[0] > self.events_per_clip[1]:
-            raise DataError("events_per_clip range is inverted")
+        lo, hi = self.events_per_clip
+        if not 0 <= lo <= hi or hi < 1:
+            raise DataError(f"events_per_clip {self.events_per_clip} is not a range lo, hi "
+                            "with 0 <= lo <= hi and hi >= 1")
+        if not 0.0 <= self.overlap_fraction <= 1.0:
+            raise DataError(f"overlap_fraction {self.overlap_fraction} outside [0, 1]")
         if not self.event_seconds[0] >= FADE_SECONDS:
             raise DataError(f"event_seconds must be at least {FADE_SECONDS}, the fade length")
         if self.event_seconds[0] > self.event_seconds[1]:
@@ -420,8 +429,7 @@ def write_tfr(tfr: Tfr, path) -> None:
     cfg = tfr.config
     header = _TFR_MAGIC + struct.pack(
         "<IBBIIIIddd", 1, _TFR_KINDS[cfg.kind], tfr.channels, tfr.freq_bins,
-        tfr.n_frames, cfg.n_fft, cfg.n_mels or 0, cfg.hop_ms, cfg.frame_len_ms,
-        cfg.log_floor)
+        tfr.n_frames, cfg.n_fft, cfg.n_mels or 0, HOP_MS, FRAME_MS, LOG_FLOOR)
     body = tfr.values.astype("<f4").tobytes()
     write_file(path, header + body)
 
@@ -436,13 +444,14 @@ def read_tfr(path) -> Tfr:
         raise DataError(f"{path}: unsupported archive version {version}")
     if kind not in _TFR_KIND_NAMES:
         raise DataError(f"{path}: unknown feature kind code {kind}")
+    if (hop_ms, frame_ms, floor) != (HOP_MS, FRAME_MS, LOG_FLOOR):
+        raise DataError(f"{path}: framing hop {hop_ms} ms, frame {frame_ms} ms, floor {floor}; "
+                        f"expected {HOP_MS} ms, {FRAME_MS} ms, {LOG_FLOOR}")
     offset = 4 + struct.calcsize("<IBBIIIIddd")
     if len(raw) - offset != 4 * frames * bins * channels:
         raise DataError(f"{path}: payload size does not match header")
     values = np.frombuffer(raw, dtype="<f4", offset=offset)
-    cfg = TfrConfig(kind=_TFR_KIND_NAMES[kind], n_fft=n_fft,
-                    n_mels=n_mels or None, hop_ms=hop_ms, frame_len_ms=frame_ms,
-                    log_floor=floor)
+    cfg = TfrConfig(kind=_TFR_KIND_NAMES[kind], n_fft=n_fft, n_mels=n_mels or None)
     return Tfr(values=values.reshape(frames, bins, channels).astype(np.float32),
                config=cfg)
 

@@ -1,13 +1,14 @@
 """Time-frequency feature extraction.
 
 Audio enters as peak-normalized PCM at 16 kHz and leaves as one of two
-representations, both framed with a 40 ms window and a 20 ms hop:
+representations, both framed with the method's fixed 40 ms Hann window and
+20 ms hop (``FRAME_MS``/``HOP_MS``; ``FRAME_LEN``/``HOP`` samples):
 
 * magnitude spectrograms: Hann-windowed frames zero-padded to ``n_fft``
   points (1024 or 2048), giving ``1 + n_fft/2`` frequency bins;
 * log-mel spectrograms: the 1024-point magnitude spectrogram mapped through
-  a bank of ``n`` triangular mel filters, then log-compressed with a small
-  floor.
+  a bank of ``n`` triangular mel filters, then log-compressed with the
+  floor ``LOG_FLOOR``.
 
 Features keep one slice per audio channel, shaped (frames, bins, channels),
 and are cut into fixed windows of 256 frames for model input; a short final
@@ -23,6 +24,14 @@ from .errors import DataError, ShapeError
 
 PIPELINE_SAMPLE_RATE = 16000
 WINDOW_FRAMES = 256
+
+# The method's analysis frame: 40 ms Hann windows every 20 ms.
+FRAME_MS = 40.0
+HOP_MS = 20.0
+FRAME_LEN = int(round(FRAME_MS * PIPELINE_SAMPLE_RATE / 1000.0))  # samples per frame
+HOP = int(round(HOP_MS * PIPELINE_SAMPLE_RATE / 1000.0))          # samples per hop
+HOP_SECONDS = HOP_MS / 1000.0
+LOG_FLOOR = 1e-10  # added to the mel energies before the log
 
 #: FFT length backing every log-mel extraction, independent of band count.
 LOGMEL_FFT = 1024
@@ -59,9 +68,6 @@ class TfrConfig:
     kind: str                     # "stft" or "logmel"
     n_fft: int = LOGMEL_FFT
     n_mels: int | None = None
-    frame_len_ms: float = 40.0
-    hop_ms: float = 20.0
-    log_floor: float = 1e-10
 
     def __post_init__(self):
         if self.kind not in ("stft", "logmel"):
@@ -82,14 +88,6 @@ class TfrConfig:
         if self.kind == "stft":
             return f"stft_{self.n_fft}"
         return f"logmel_{self.n_mels}"
-
-    def frame_len(self) -> int:
-        """Samples per frame at PIPELINE_SAMPLE_RATE."""
-        return int(round(self.frame_len_ms * PIPELINE_SAMPLE_RATE / 1000.0))
-
-    def hop(self) -> int:
-        """Samples per hop at PIPELINE_SAMPLE_RATE."""
-        return int(round(self.hop_ms * PIPELINE_SAMPLE_RATE / 1000.0))
 
 
 def stft_config(n_fft: int) -> TfrConfig:
@@ -118,7 +116,7 @@ def parse_tfr_name(name: str) -> TfrConfig:
 class Tfr:
     """Feature tensor shaped (frames, freq_bins, channels).
 
-    Frame t covers the audio interval [t*hop, t*hop + frame_len).
+    Frame t covers the audio samples [t*HOP, t*HOP + FRAME_LEN).
     """
 
     values: np.ndarray
@@ -139,10 +137,6 @@ class Tfr:
     @property
     def channels(self) -> int:
         return self.values.shape[2]
-
-    @property
-    def hop_seconds(self) -> float:
-        return self.config.hop_ms / 1000.0
 
 
 @dataclass
@@ -197,26 +191,18 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def _frame_channel(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame_len) // hop
-    frames = np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
-    return frames[:n_frames]
-
-
 def stft_magnitude(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     """Per-channel magnitude spectrogram, shape (frames, 1 + n_fft/2, C)."""
     if clip.sample_rate != PIPELINE_SAMPLE_RATE:
         raise DataError(f"expected {PIPELINE_SAMPLE_RATE} Hz input, got {clip.sample_rate} Hz")
-    frame_len = cfg.frame_len()
-    hop = cfg.hop()
-    if clip.n_samples < frame_len:
-        raise DataError(f"clip of {clip.n_samples} samples is shorter than one {frame_len}-sample frame")
-    if frame_len > cfg.n_fft:
-        raise DataError(f"frame of {frame_len} samples does not fit in n_fft={cfg.n_fft}")
-    window = hann_window(frame_len)
+    if clip.n_samples < FRAME_LEN:
+        raise DataError(f"clip of {clip.n_samples} samples is shorter than one {FRAME_LEN}-sample frame")
+    if FRAME_LEN > cfg.n_fft:
+        raise DataError(f"frame of {FRAME_LEN} samples does not fit in n_fft={cfg.n_fft}")
+    window = hann_window(FRAME_LEN)
     mags = []
     for ch in clip.samples:
-        frames = _frame_channel(ch, frame_len, hop) * window
+        frames = np.lib.stride_tricks.sliding_window_view(ch, FRAME_LEN)[::HOP] * window
         spec = np.fft.rfft(frames, n=cfg.n_fft, axis=1)
         mags.append(np.abs(spec))
     values = np.stack(mags, axis=-1)
@@ -256,7 +242,7 @@ def logmel(clip: AudioClip, cfg: TfrConfig) -> Tfr:
     mag = stft_magnitude(clip, cfg)
     fb = build_mel_filterbank(cfg.n_mels, cfg.n_fft)
     mel = np.matmul(fb, mag.values)  # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
-    return Tfr(values=np.log(mel + cfg.log_floor), config=cfg)
+    return Tfr(values=np.log(mel + LOG_FLOOR), config=cfg)
 
 
 def extract(clip: AudioClip, cfg: TfrConfig) -> Tfr:

@@ -128,10 +128,11 @@ def _check_ranges(biases: np.ndarray, thresholds: np.ndarray) -> None:
 
 def mse_weights(preds: PredictionSet) -> np.ndarray:
     """Reciprocal mean squared error per detector, clamped away from 1/0."""
-    truth = preds.truth.astype(np.float64)
     out = np.empty(preds.n_models)
+    err = np.empty_like(preds.predictions[0])  # f64 scratch, reused for every detector
     for k, p in enumerate(preds.predictions):
-        mse = float(np.mean((p - truth) ** 2))
+        np.subtract(p, preds.truth, out=err)
+        mse = float(np.mean(np.square(err, out=err)))
         out[k] = 1.0 / max(mse, MSE_CLAMP)
     return out
 

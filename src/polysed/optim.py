@@ -1,9 +1,11 @@
 """AdaDelta parameter updates.
 
-The update follows Zeiler's rule with a global learning-rate multiplier:
+The update is Zeiler's rule (arXiv 1212.5701) with the method's fixed decay
+``RHO`` = 0.95 and conditioner ``EPSILON`` = 1e-6, and no learning-rate
+multiplier (the paper's "lr 1.0"):
 
     E[g2]  <- rho * E[g2] + (1 - rho) * g^2
-    delta  =  - lr * sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g
+    delta  =  - sqrt(E[dx2] + eps) / sqrt(E[g2] + eps) * g
     E[dx2] <- rho * E[dx2] + (1 - rho) * delta^2
 
 Both accumulators start at zero and stay nonnegative; a zero gradient leaves
@@ -18,14 +20,14 @@ import numpy as np
 from .errors import NumericError
 from .tensor import Tensor
 
+RHO = 0.95
+EPSILON = 1e-6
+
 
 @dataclass
 class AdaDeltaState:
     """Per-parameter running averages of squared gradients and updates."""
 
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    lr: float = 1.0
     acc_grad_sq: dict = field(default_factory=dict)
     acc_delta_sq: dict = field(default_factory=dict)
 
@@ -45,9 +47,9 @@ def adadelta_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
         if eg is None:
             eg = np.zeros_like(p.data)
             ed = np.zeros_like(p.data)
-        eg = state.rho * eg + (1.0 - state.rho) * g * g
-        delta = -state.lr * np.sqrt(ed + state.epsilon) / np.sqrt(eg + state.epsilon) * g
-        ed = state.rho * ed + (1.0 - state.rho) * delta * delta
+        eg = RHO * eg + (1.0 - RHO) * g * g
+        delta = -np.sqrt(ed + EPSILON) / np.sqrt(eg + EPSILON) * g
+        ed = RHO * ed + (1.0 - RHO) * delta * delta
         state.acc_grad_sq[name] = eg
         state.acc_delta_sq[name] = ed
         updated[name] = Tensor(p.data + delta, requires_grad=True)

@@ -146,9 +146,9 @@ def run_extract(cfg: ExperimentConfig, tfr_name: str, out: Path, jobs: int = 1) 
 # ---------------------------------------------------------------------------
 
 def _clip_roll(cfg: ExperimentConfig, out: Path, split: str, clip_id: str,
-               n_frames: int, hop: float) -> EventRoll:
+               n_frames: int) -> EventRoll:
     ann = dataio.read_annotations(_ann_path(out, split, clip_id), vocabulary=cfg.vocabulary)
-    return dataio.annotation_to_roll(ann, hop, n_frames, cfg.vocabulary)
+    return dataio.annotation_to_roll(ann, dsp.HOP_SECONDS, n_frames, cfg.vocabulary)
 
 
 def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
@@ -156,7 +156,7 @@ def _load_window_examples(cfg: ExperimentConfig, tfr_name: str, out: Path,
     examples = []
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
-        roll = _clip_roll(cfg, out, split, clip_id, tfr.n_frames, tfr.hop_seconds)
+        roll = _clip_roll(cfg, out, split, clip_id, tfr.n_frames)
         for win in dsp.window_tfr(tfr):
             target = np.zeros((dsp.WINDOW_FRAMES, roll.n_events), dtype=np.uint8)
             target[:win.valid] = roll.values[win.start_frame:win.start_frame + win.valid]
@@ -217,12 +217,10 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
             rng=stream(cfg.seed, f"init:{tfr_name}"), dtype=dtype)
         result = train(
             model, train_windows, val_windows,
-            hop_seconds=tfr_cfg.hop_ms / 1000.0,
+            hop_seconds=dsp.HOP_SECONDS,
             epochs=cfg.train.epochs, patience=cfg.train.patience,
             batch_size=cfg.train.batch_size,
-            seed=derive_seed(cfg.seed, f"train:{tfr_name}"),
-            lr=cfg.train.lr, rho=cfg.train.rho, epsilon=cfg.train.epsilon,
-            labels=cfg.vocabulary)
+            seed=derive_seed(cfg.seed, f"train:{tfr_name}"))
         dataio.write_checkpoint(
             model, ckpt, history=result.history,
             provenance={"seed": cfg.seed, "tfr": tfr_name,
@@ -246,7 +244,6 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     if not ckpt.exists():
         raise DataError(f"{ckpt} not found; run train first")
     model, _ = dataio.read_checkpoint(ckpt)
-    hop = dsp.parse_tfr_name(tfr_name).hop_ms / 1000.0
     written = {}
     for split in ("val", "eval"):
         parts = []
@@ -256,7 +253,8 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
                 act = model.predict(win.values).values
                 parts.append(act[:win.valid])
         scores = np.concatenate(parts, axis=0)
-        dataio.write_predictions(scores, hop, cfg.vocabulary, _pred_path(out, tfr_name, split))
+        dataio.write_predictions(scores, dsp.HOP_SECONDS, cfg.vocabulary,
+                                 _pred_path(out, tfr_name, split))
         written[split] = scores.shape
     return written
 
@@ -267,25 +265,23 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
 
 def _load_split(cfg: ExperimentConfig, out: Path, split: str,
                 systems: list[str]) -> PredictionSet:
-    """Each system's scores on one split, with the split's ground truth,
-    its clips' frame counts and their shared frame hop."""
+    """Each system's scores on one split, with the split's ground truth and
+    its clips' frame counts."""
     scores = []
-    hops = set()
     for system in systems:
         path = _pred_path(out, system, split)
         values, hop, labels = dataio.read_predictions(path)
         _check_vocabulary(labels, cfg.vocabulary, path)
+        if hop != dsp.HOP_SECONDS:
+            raise DataError(f"{path}: frame hop {hop} s, expected {dsp.HOP_SECONDS} s")
         scores.append(values)
-        hops.add(hop)
-    if len(hops) != 1:
-        raise DataError(f"{split} predictions of {', '.join(systems)} differ in frame hop")
-    hop = hops.pop()
     rolls = []
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, cfg.fusion.tfrs[0], split, clip_id))
-        rolls.append(_clip_roll(cfg, out, split, clip_id, tfr.n_frames, hop).values)
-    return PredictionSet(predictions=scores, truth=np.concatenate(rolls, axis=0), hop=hop,
-                         labels=list(cfg.vocabulary), lengths=[len(r) for r in rolls])
+        rolls.append(_clip_roll(cfg, out, split, clip_id, tfr.n_frames).values)
+    return PredictionSet(predictions=scores, truth=np.concatenate(rolls, axis=0),
+                         hop=dsp.HOP_SECONDS, labels=list(cfg.vocabulary),
+                         lengths=[len(r) for r in rolls])
 
 
 def _check_vocabulary(found: list[str], expected: list[str], path) -> None:

@@ -358,7 +358,7 @@ def test_validation_error_rate_counts_segments_per_clip():
 def test_train_requires_both_splits():
     model = CapsNetModel.build(tiny_config(), 8, 2, stream(0))
     with pytest.raises(DataError):
-        train(model, [], [], hop_seconds=0.02)
+        train(model, [], [], hop_seconds=0.02, epochs=1, patience=1, batch_size=1, seed=0)
 
 
 def test_train_learns_separable_tones():

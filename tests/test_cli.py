@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,6 +203,23 @@ def test_eval_on_mismatched_hops_exits_2(ran_pipeline, capsys):
         pred.write_bytes(before)
 
 
+def test_eval_on_a_shared_foreign_hop_exits_2(ran_pipeline, capsys):
+    """Predictions that agree on a hop other than the method's would score
+    eval on the wrong segment grid."""
+    cfg_path, out = ran_pipeline
+    preds = sorted((out / "pred").rglob("*.pred"))
+    before = [p.read_bytes() for p in preds]
+    for p in preds:
+        scores, hop, labels = dataio.read_predictions(p)
+        dataio.write_predictions(scores, 2 * hop, labels, p)
+    try:
+        assert _run(cfg_path, out, "eval") == 2
+        assert "frame hop" in capsys.readouterr().err
+    finally:
+        for p, raw in zip(preds, before):
+            p.write_bytes(raw)
+
+
 def test_eval_without_predictions_exits_2(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     pred = out / "pred"
@@ -370,6 +388,17 @@ def test_config_loads(workdir):
     assert cfg.models["logmel_16"].n_events == 3
 
 
+def test_readme_config_examples_load(tmp_path):
+    """Every ini block of README.md loads, so the docs cannot drift from the parser."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), flags=re.M | re.S)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.cfg"
+        path.write_text(block)
+        load_config(path)
+
+
 def test_config_rejects_unknown_fusion_tfr(tmp_path):
     text = TINY_CFG.replace("tfrs = logmel_16, logmel_32", "tfrs = logmel_64")
     path = tmp_path / "bad_fusion.cfg"
@@ -397,6 +426,23 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
     ("clip_seconds = 6.0", "clip_seconds = inf"),
     ("eval_clips = 2", "eval_clips = 0"),
     ("[model logmel_32]", "[model logmel_16]"),
+    # the method fixes AdaDelta's step, so [train] has no optimizer keys
+    ("batch_size = 4", "lr = 0.5"),
+    ("batch_size = 4", "rho = 0.9"),
+    ("batch_size = 4", "epsilon = 1e-8"),
+    ("cnn_kernel_dim = 3", "cnn_kernel_dim = 0"),
+    ("pool_dims = 2, 2", "pool_dims = 0, 2"),
+    ("cnn_kernels = 4, 4", "cnn_kernels = 0, 4"),
+    ("n_primary_caps = 3", "n_primary_caps = 0"),
+    ("primary_cap_dim = 4", "primary_cap_dim = 0"),
+    ("output_cap_dim = 4", "output_cap_dim = 0"),
+    ("l2_weight = 1e-4", "l2_weight = -5"),
+    ("seed = 77", "overlap_fraction = 7"),
+    ("val_fraction = 0.34", "val_fraction = -0.5"),
+    ("classes = low_tone:tone:300-600, mid_chirp:chirp:900-1800, high_hiss:noise:2500-5000",
+     "classes = low_tone:tone:9000-12000, mid_chirp:chirp:900-1800"),
+    ("events_per_clip = 2, 4", "events_per_clip = -3, -1"),
+    ("tfrs = logmel_16, logmel_32", "tfrs = logmel_16, logmel_16"),
 ])
 def test_bad_config_value_exits_1_naming_its_line(tmp_path, capsys, line, bad):
     lines = TINY_CFG.splitlines()

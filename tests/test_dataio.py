@@ -218,7 +218,7 @@ def test_tfr_archive_bit_exact_roundtrip(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     np.testing.assert_array_equal(loaded.values, tfr.values.astype(np.float32))
     assert loaded.config.name == "logmel_40"
-    assert loaded.config.hop_ms == tfr.config.hop_ms
+    assert loaded.config == tfr.config
 
 
 def test_tfr_archive_rejects_other_files(tmp_path):
@@ -226,6 +226,20 @@ def test_tfr_archive_rejects_other_files(tmp_path):
     path.write_bytes(b"JUNKJUNKJUNK")
     with pytest.raises(DataError):
         read_tfr(path)
+
+
+@pytest.mark.parametrize("field,value", [(0, 10.0), (1, 25.0), (2, 1e-8)])
+def test_tfr_archive_rejects_other_framing(tmp_path, field, value):
+    """Hop ms, frame length ms and log floor are fixed by the method; an
+    archive declaring other values is refused, not reinterpreted."""
+    path = tmp_path / "other.tfr"
+    write_tfr(extract(AudioClip(np.zeros((2, 4000))), logmel_config(8)), path)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 4 + struct.calcsize("<IBBIIII") + 8 * field, value)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataError) as exc:
+        read_tfr(path)
+    assert str(exc.value).startswith(f"{path}: framing")
 
 
 # -- checkpoint ---------------------------------------------------------------------------

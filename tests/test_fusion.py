@@ -50,6 +50,17 @@ def test_mse_weights_ratio():
     np.testing.assert_allclose(w[0] / w[1], 4.0)
 
 
+@pytest.mark.parametrize("truth_dtype", [np.uint8, bool, int, float])
+def test_mse_weights_equal_the_plain_formula(truth_dtype):
+    """The in-place scratch buffer computes the same doubles as the formula."""
+    rng = np.random.default_rng(12)
+    truth = (rng.uniform(size=(3000, 4)) < 0.3).astype(truth_dtype)
+    preds = [rng.uniform(size=truth.shape) for _ in range(3)]
+    expected = [1.0 / max(float(np.mean((p - truth.astype(np.float64)) ** 2)), 1e-12)
+                for p in preds]
+    np.testing.assert_array_equal(mse_weights(_pset(preds, truth)), expected)
+
+
 # -- fuse ----------------------------------------------------------------------
 
 def test_fuse_single_model_identity():

@@ -289,7 +289,7 @@ def test_adadelta_zero_gradient_is_fixed_point():
 
 def test_adadelta_first_step_value():
     p = {"w": Tensor(np.array(0.0), requires_grad=True)}
-    state = AdaDeltaState(rho=0.95, epsilon=1e-6, lr=1.0)
+    state = AdaDeltaState()
     out = adadelta_step(p, {"w": np.array(1.0)}, state)
     expected = -np.sqrt(1e-6) / np.sqrt(0.05 + 1e-6)
     np.testing.assert_allclose(out["w"].item(), expected, rtol=0, atol=1e-15)
