@@ -30,6 +30,7 @@ import numpy as np
 from . import tensor as T
 from .dsp import WINDOW_FRAMES
 from .errors import ConfigError, DataError, NumericError, ShapeError
+from .fusion import DEFAULT_THRESHOLD
 from .metrics import EventRoll, error_rate, is_binary, segment_counts
 from .optim import AdaDeltaState, adadelta_step
 from .rng import stream
@@ -244,10 +245,6 @@ class CapsNetModel:
             act = self.forward(window_values, train_mode=False)
         return ActivityMatrix(values=act.numpy())
 
-    def clone_parameters(self) -> dict[str, Tensor]:
-        return {name: Tensor(p.data.copy(), requires_grad=True)
-                for name, p in self.parameters.items()}
-
 
 def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None,
                    params: dict[str, Tensor] | None = None, l2_weight: float = 0.0) -> Tensor:
@@ -330,7 +327,7 @@ def _validation_error_rate(model: CapsNetModel, windows: list[WindowExample],
                            hop_seconds: float, labels: list[str]) -> float:
     act = np.concatenate([model.predict(w.values).values[:w.valid] for w in windows])
     truth = np.concatenate([w.target[:w.valid] for w in windows])
-    pred = (act >= 0.5).astype(np.uint8)
+    pred = (act >= DEFAULT_THRESHOLD).astype(np.uint8)
     clip_starts = [i for i, w in enumerate(windows) if w.start_frame == 0]
     return error_rate(segment_counts(EventRoll(truth, hop_seconds, labels),
                                      EventRoll(pred, hop_seconds, labels),
@@ -354,7 +351,7 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
     dropout_rng = stream(seed, "dropout")
     state = AdaDeltaState()
     stopper = EarlyStopping(patience)
-    result = TrainResult(parameters=model.clone_parameters())
+    result = TrainResult(parameters=dict(model.parameters))
 
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(len(train_windows))
@@ -382,7 +379,7 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
         improved = val_er < stopper.best_er
         stop = stopper.update(epoch, val_er)
         if improved:
-            result.parameters = model.clone_parameters()
+            result.parameters = dict(model.parameters)
         result.stopped_epoch = epoch
         if stop:
             break

@@ -7,17 +7,17 @@ Formats (all little-endian, all round-trip exactly as documented):
   write/read trip moves any sample by at most 1/32768.
 * Annotations: tab-separated ``onset<TAB>offset<TAB>label`` lines, seconds
   with 3 decimals, sorted by onset on write.
-* Feature archive (.tfr): magic ``PSTF``, version u32, kind u8, channels
-  u8, freq bins u32, frame count u32, n_fft u32, n_mels u32, hop ms f64,
-  frame length ms f64, log floor f64, then float32 frames in row-major
-  (frame, bin, channel) order.  The three framing values are always the
-  method's (``dsp.HOP_MS``, ``FRAME_MS``, ``LOG_FLOOR``); reading rejects
-  any other.
-* Checkpoint (.ckpt): magic ``PSCK``, version u32, JSON header length u64,
-  JSON header (model config, geometry, history, provenance, parameter
-  manifest with offsets), then raw float64/float32 parameter blobs.
-* Prediction matrix (.pred): magic ``PSPR``, version u32, frames u32,
-  events u32, hop f64, JSON label block, then float32 scores row-major.
+* Binary container (.tfr feature archives, .ckpt checkpoints, .pred
+  prediction matrices): a magic (``PSTF``, ``PSCK``, ``PSPR``), version u32
+  (``CONTAINER_VERSION``; reading refuses any other, such as the version-1
+  layouts of earlier releases), JSON header length u64, the JSON header,
+  then the raw arrays back to back as its ``arrays`` manifest lists them
+  (``name``, ``shape``, ``dtype``, ``offset``, ``nbytes``).  Header keys:
+  .tfr ``tfr`` (the feature name) and the framing ``hop_ms``, ``frame_ms``,
+  ``log_floor`` (always the method's; reading rejects others), array
+  ``values`` <f4 (frame, bin, channel); .ckpt ``config``, ``freq_bins``,
+  ``channels``, ``dtype``, ``history``, ``provenance``, one <f8 or <f4
+  array per parameter; .pred ``hop`` and ``labels``, array ``scores`` <f4.
 * Fusion parameters: JSON text; floats serialize via ``repr`` so parsing
   returns the identical doubles.
 
@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import glob
 import json
+import math
 import os
 import struct
 import warnings
@@ -40,7 +41,8 @@ from pathlib import Path
 import numpy as np
 
 from .capsnet import CapsNetConfig, CapsNetModel
-from .dsp import FRAME_MS, HOP_MS, LOG_FLOOR, PIPELINE_SAMPLE_RATE, AudioClip, Tfr, TfrConfig
+from .dsp import (FRAME_MS, HOP_MS, LOG_FLOOR, PIPELINE_SAMPLE_RATE, AudioClip, Tfr,
+                  parse_tfr_name)
 from .errors import DataError, PolysedError
 from .fusion import FusionParams
 from .metrics import EventRoll
@@ -417,151 +419,141 @@ def synthesize_dataset(spec: SynthSpec, n_clips: int,
 
 
 # ---------------------------------------------------------------------------
-# Feature archive
+# Binary container: feature archives, checkpoints, prediction matrices
 # ---------------------------------------------------------------------------
 
+CONTAINER_VERSION = 2
+_PREFIX = "<IQ"  # container version, JSON header length; follows the 4-byte magic
 _TFR_MAGIC = b"PSTF"
-_TFR_KINDS = {"stft": 0, "logmel": 1}
-_TFR_KIND_NAMES = {v: k for k, v in _TFR_KINDS.items()}
+_CKPT_MAGIC = b"PSCK"
+_PRED_MAGIC = b"PSPR"
+
+
+def _write_container(path, magic: bytes, header: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `header` plus the manifest of `arrays`, then the arrays little-endian."""
+    manifest, blobs, offset = [], [], 0
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, dtype=arr.dtype.newbyteorder("<"))
+        blobs.append(arr.tobytes())
+        manifest.append({"name": name, "shape": list(arr.shape), "dtype": arr.dtype.str,
+                         "offset": offset, "nbytes": len(blobs[-1])})
+        offset += len(blobs[-1])
+    head = json.dumps({**header, "arrays": manifest}).encode("utf-8")
+    write_file(path, magic + struct.pack(_PREFIX, CONTAINER_VERSION, len(head)) + head
+               + b"".join(blobs))
+
+
+def _read_container(path, magic: bytes, what: str, dtypes: tuple[str, ...], decode):
+    """decode(header, arrays) of the container at `path`, whose manifest must
+    tile the payload exactly with arrays of `dtypes`; whatever this or
+    `decode` rejects is a DataError naming the path."""
+    raw = read_file(path)
+    if raw[:4] != magic:
+        raise DataError(f"{path}: not a {what}")
+    version, head_len = _unpack(_PREFIX, raw, 4, path)
+    if version != CONTAINER_VERSION:
+        raise DataError(f"{path}: unsupported {what} version {version}")
+    pos = 4 + struct.calcsize(_PREFIX)
+    if pos + head_len > len(raw):
+        raise DataError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[pos:pos + head_len].decode("utf-8"))
+        base = pos = pos + head_len
+        arrays = {}
+        for entry in header["arrays"]:
+            name, shape = entry["name"], entry["shape"]
+            if entry["dtype"] not in dtypes:
+                raise DataError(f"array {name!r} has dtype {entry['dtype']!r}, expected "
+                                + " or ".join(dtypes))
+            if any(not isinstance(n, int) or n < 0 for n in shape):
+                raise DataError(f"array {name!r} has shape {shape}")
+            dtype, count = np.dtype(entry["dtype"]), math.prod(shape)
+            nbytes = count * dtype.itemsize
+            if (entry["offset"], entry["nbytes"]) != (pos - base, nbytes):
+                raise DataError(f"array {name!r} spans {entry['nbytes']} bytes at offset "
+                                f"{entry['offset']}, expected {nbytes} at {pos - base}")
+            if pos + nbytes > len(raw):
+                raise DataError(f"array {name!r} runs past the end of the file")
+            arr = np.frombuffer(raw, dtype, count, pos).reshape(shape)
+            arrays[name] = arr.astype(dtype.newbyteorder("="))
+            pos += nbytes
+        if pos != len(raw):
+            raise DataError("payload size does not match header")
+        return decode(header, arrays)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError, PolysedError) as exc:
+        raise DataError(f"{path}: corrupt {what} header ({exc})") from None
 
 
 def write_tfr(tfr: Tfr, path) -> None:
-    cfg = tfr.config
-    header = _TFR_MAGIC + struct.pack(
-        "<IBBIIIIddd", 1, _TFR_KINDS[cfg.kind], tfr.channels, tfr.freq_bins,
-        tfr.n_frames, cfg.n_fft, cfg.n_mels or 0, HOP_MS, FRAME_MS, LOG_FLOOR)
-    body = tfr.values.astype("<f4").tobytes()
-    write_file(path, header + body)
+    header = {"tfr": tfr.config.name, "hop_ms": HOP_MS, "frame_ms": FRAME_MS,
+              "log_floor": LOG_FLOOR}
+    _write_container(path, _TFR_MAGIC, header, {"values": tfr.values.astype("<f4")})
+
+
+def _tfr_from(header: dict, arrays: dict) -> Tfr:
+    framing = header["hop_ms"], header["frame_ms"], header["log_floor"]
+    if framing != (HOP_MS, FRAME_MS, LOG_FLOOR):
+        raise DataError("framing hop {} ms, frame {} ms, floor {}; expected {} ms, {} ms, {}"
+                        .format(*framing, HOP_MS, FRAME_MS, LOG_FLOOR))
+    name = header["tfr"]
+    if not isinstance(name, str):
+        raise DataError(f"feature name {name!r} is not a string")
+    tfr = Tfr(values=arrays["values"], config=parse_tfr_name(name))
+    if tfr.freq_bins != tfr.config.freq_bins:
+        raise DataError(f"{tfr.freq_bins} frequency bins, but {name} has {tfr.config.freq_bins}")
+    return tfr
 
 
 def read_tfr(path) -> Tfr:
-    raw = read_file(path)
-    if raw[:4] != _TFR_MAGIC:
-        raise DataError(f"{path}: not a feature archive")
-    fields = _unpack("<IBBIIIIddd", raw, 4, path)
-    version, kind, channels, bins, frames, n_fft, n_mels, hop_ms, frame_ms, floor = fields
-    if version != 1:
-        raise DataError(f"{path}: unsupported archive version {version}")
-    if kind not in _TFR_KIND_NAMES:
-        raise DataError(f"{path}: unknown feature kind code {kind}")
-    if (hop_ms, frame_ms, floor) != (HOP_MS, FRAME_MS, LOG_FLOOR):
-        raise DataError(f"{path}: framing hop {hop_ms} ms, frame {frame_ms} ms, floor {floor}; "
-                        f"expected {HOP_MS} ms, {FRAME_MS} ms, {LOG_FLOOR}")
-    offset = 4 + struct.calcsize("<IBBIIIIddd")
-    if len(raw) - offset != 4 * frames * bins * channels:
-        raise DataError(f"{path}: payload size does not match header")
-    values = np.frombuffer(raw, dtype="<f4", offset=offset)
-    cfg = TfrConfig(kind=_TFR_KIND_NAMES[kind], n_fft=n_fft, n_mels=n_mels or None)
-    return Tfr(values=values.reshape(frames, bins, channels).astype(np.float32),
-               config=cfg)
-
-
-# ---------------------------------------------------------------------------
-# Model checkpoint
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"PSCK"
+    return _read_container(path, _TFR_MAGIC, "feature archive", ("<f4",), _tfr_from)
 
 
 def write_checkpoint(model: CapsNetModel, path, history: list | None = None,
                      provenance: dict | None = None) -> None:
-    names = sorted(model.parameters)
-    blobs = []
-    manifest = []
-    offset = 0
-    for name in names:
-        arr = model.parameters[name].numpy()
-        blob = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "dtype": str(arr.dtype), "offset": offset, "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
-    header = {
-        "format_version": 1,
-        "config": asdict(model.config),
-        "freq_bins": model.freq_bins,
-        "channels": model.channels,
-        "dtype": str(model.dtype),
-        "history": history or [],
-        "provenance": provenance or {},
-        "params": manifest,
-    }
-    head = json.dumps(header).encode("utf-8")
-    write_file(path, _CKPT_MAGIC + struct.pack("<IQ", 1, len(head)) + head + b"".join(blobs))
+    header = {"config": asdict(model.config), "freq_bins": model.freq_bins,
+              "channels": model.channels, "dtype": str(model.dtype),
+              "history": history or [], "provenance": provenance or {}}
+    _write_container(path, _CKPT_MAGIC, header,
+                     {name: model.parameters[name].numpy() for name in sorted(model.parameters)})
 
 
-def read_checkpoint(path) -> tuple[CapsNetModel, dict]:
-    raw = read_file(path)
-    if raw[:4] != _CKPT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    version, head_len = _unpack("<IQ", raw, 4, path)
-    if version != 1:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    base = 4 + struct.calcsize("<IQ")
-    blob_base = base + head_len
-    if blob_base > len(raw):
-        raise DataError(f"{path}: truncated header")
-    try:
-        header = json.loads(raw[base:blob_base].decode("utf-8"))
-        params = {}
-        end = blob_base
-        for entry in header["params"]:
-            dtype = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"], dtype=np.int64))
-            start = blob_base + entry["offset"]
-            end = max(end, start + count * dtype.itemsize)
-            if end > len(raw):
-                raise ValueError(f"parameter {entry['name']!r} runs past the end of the file")
-            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=start)
-            params[entry["name"]] = Tensor(arr.reshape(entry["shape"]).copy(), requires_grad=True)
-        if end != len(raw):
-            raise ValueError("payload size does not match header")
-        model = CapsNetModel(CapsNetConfig(**header["config"]), header["freq_bins"],
-                             header["channels"], params, dtype=np.dtype(header["dtype"]))
-    except (KeyError, TypeError, ValueError, PolysedError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint ({exc})") from None
+def _checkpoint_from(header: dict, arrays: dict) -> tuple[CapsNetModel, dict]:
+    params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
+    model = CapsNetModel(CapsNetConfig(**header["config"]), header["freq_bins"],
+                         header["channels"], params, dtype=np.dtype(header["dtype"]))
     return model, header
 
 
-# ---------------------------------------------------------------------------
-# Prediction matrices and fusion parameters
-# ---------------------------------------------------------------------------
-
-_PRED_MAGIC = b"PSPR"
+def read_checkpoint(path) -> tuple[CapsNetModel, dict]:
+    return _read_container(path, _CKPT_MAGIC, "checkpoint", ("<f4", "<f8"), _checkpoint_from)
 
 
 def write_predictions(scores: np.ndarray, hop: float, labels: list[str], path) -> None:
-    scores = np.asarray(scores, dtype=np.float32)
-    if scores.ndim != 2:
-        raise DataError(f"prediction matrix must be 2-d, got shape {scores.shape}")
-    label_block = json.dumps(labels).encode("utf-8")
-    header = _PRED_MAGIC + struct.pack("<IIId", 1, scores.shape[0], scores.shape[1], hop)
-    header += struct.pack("<I", len(label_block)) + label_block
-    write_file(path, header + scores.astype("<f4").tobytes())
+    scores = np.asarray(scores, dtype="<f4")
+    if scores.ndim != 2 or scores.shape[1] != len(labels):
+        raise DataError(f"prediction matrix of shape {scores.shape} does not fit {len(labels)} labels")
+    _write_container(path, _PRED_MAGIC, {"hop": float(hop), "labels": list(labels)},
+                     {"scores": scores})
+
+
+def _predictions_from(header: dict, arrays: dict) -> tuple[np.ndarray, float, list[str]]:
+    scores, hop, labels = arrays["scores"], header["hop"], header["labels"]
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise DataError("labels are not a list of strings")
+    if scores.ndim != 2 or scores.shape[1] != len(labels):
+        raise DataError(f"prediction matrix of shape {scores.shape} does not fit {len(labels)} labels")
+    return scores, hop, labels
 
 
 def read_predictions(path) -> tuple[np.ndarray, float, list[str]]:
-    raw = read_file(path)
-    if raw[:4] != _PRED_MAGIC:
-        raise DataError(f"{path}: not a prediction file")
-    version, frames, events, hop = _unpack("<IIId", raw, 4, path)
-    if version != 1:
-        raise DataError(f"{path}: unsupported prediction version {version}")
-    pos = 4 + struct.calcsize("<IIId")
-    (label_len,) = _unpack("<I", raw, pos, path)
-    pos += 4
-    if pos + label_len > len(raw):
-        raise DataError(f"{path}: truncated header")
-    try:
-        labels = json.loads(raw[pos:pos + label_len].decode("utf-8"))
-    except ValueError:
-        raise DataError(f"{path}: malformed label block") from None
-    pos += label_len
-    if len(raw) - pos != 4 * frames * events:
-        raise DataError(f"{path}: payload size does not match header")
-    scores = np.frombuffer(raw, dtype="<f4", offset=pos, count=frames * events)
-    return scores.reshape(frames, events).copy(), hop, labels
+    return _read_container(path, _PRED_MAGIC, "prediction file", ("<f4",), _predictions_from)
 
+
+# ---------------------------------------------------------------------------
+# Fusion parameters
+# ---------------------------------------------------------------------------
 
 def write_fusion_params(params: FusionParams, path, grid_note: str = "") -> None:
     doc = {

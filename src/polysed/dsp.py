@@ -76,6 +76,10 @@ class TfrConfig:
             raise DataError("logmel requires n_mels >= 1")
         if self.n_fft < 2 or self.n_fft & (self.n_fft - 1):
             raise DataError(f"n_fft must be a power of two, got {self.n_fft}")
+        if self.n_fft < FRAME_LEN:
+            raise DataError(f"n_fft={self.n_fft} is shorter than the {FRAME_LEN}-sample frame")
+        if self.kind == "logmel" and self.n_mels > 1 + self.n_fft // 2:
+            raise DataError(f"{self.n_mels} mel filters exceed the {1 + self.n_fft // 2} FFT bins")
 
     @property
     def freq_bins(self) -> int:
@@ -197,8 +201,6 @@ def stft_magnitude(clip: AudioClip, cfg: TfrConfig) -> Tfr:
         raise DataError(f"expected {PIPELINE_SAMPLE_RATE} Hz input, got {clip.sample_rate} Hz")
     if clip.n_samples < FRAME_LEN:
         raise DataError(f"clip of {clip.n_samples} samples is shorter than one {FRAME_LEN}-sample frame")
-    if FRAME_LEN > cfg.n_fft:
-        raise DataError(f"frame of {FRAME_LEN} samples does not fit in n_fft={cfg.n_fft}")
     window = hann_window(FRAME_LEN)
     mags = []
     for ch in clip.samples:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -77,18 +78,17 @@ def _run(cfg_path, out, *argv):
     return main([*argv, "--config", str(cfg_path), "--out", str(out)])
 
 
+CHAIN = (["synth"], ["extract", "--tfr", "logmel_16"],
+         ["extract", "--tfr", "logmel_32", "--jobs", "2"],
+         ["train", "--tfr", "logmel_16"], ["train", "--tfr", "logmel_32"],
+         ["predict"], ["fuse-fit"], ["fuse-apply"], ["eval"])
+
+
 @pytest.fixture(scope="module")
 def ran_pipeline(workdir):
     cfg_path, out = workdir
-    assert _run(cfg_path, out, "synth") == 0
-    assert _run(cfg_path, out, "extract", "--tfr", "logmel_16") == 0
-    assert _run(cfg_path, out, "extract", "--tfr", "logmel_32", "--jobs", "2") == 0
-    assert _run(cfg_path, out, "train", "--tfr", "logmel_16") == 0
-    assert _run(cfg_path, out, "train", "--tfr", "logmel_32") == 0
-    assert _run(cfg_path, out, "predict") == 0
-    assert _run(cfg_path, out, "fuse-fit") == 0
-    assert _run(cfg_path, out, "fuse-apply") == 0
-    assert _run(cfg_path, out, "eval") == 0
+    for argv in CHAIN:
+        assert _run(cfg_path, out, *argv) == 0
     return cfg_path, out
 
 
@@ -99,6 +99,22 @@ def test_end_to_end_prints_three_ers(ran_pipeline, capsys):
     assert len(lines) == 3  # two single-feature systems plus the fused one
     results = json.loads((out / "eval" / "results.json").read_text())
     assert [s["kind"] for s in results["systems"]] == ["single", "single", "fused"]
+
+
+def test_seeded_rerun_writes_identical_files(ran_pipeline, tmp_path):
+    """The whole chain, binary containers included, reruns to the same bytes."""
+    cfg_path, out = ran_pipeline
+    again = tmp_path / "again"
+    for argv in CHAIN:
+        assert _run(cfg_path, again, *argv) == 0
+
+    def digests(root):
+        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in root.rglob("*") if p.is_file()}
+
+    first = digests(out)
+    assert len(first) == 46
+    assert digests(again) == first
 
 
 def test_report_matches_recomputation(ran_pipeline, capsys):
@@ -443,6 +459,8 @@ def test_config_rejects_unknown_fusion_tfr(tmp_path):
      "classes = low_tone:tone:9000-12000, mid_chirp:chirp:900-1800"),
     ("events_per_clip = 2, 4", "events_per_clip = -3, -1"),
     ("tfrs = logmel_16, logmel_32", "tfrs = logmel_16, logmel_16"),
+    ("[model logmel_32]", "[model stft_512]"),
+    ("[model logmel_32]", "[model logmel_600]"),
 ])
 def test_bad_config_value_exits_1_naming_its_line(tmp_path, capsys, line, bad):
     lines = TINY_CFG.splitlines()

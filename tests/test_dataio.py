@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from polysed.capsnet import CapsNetConfig, CapsNetModel, home_config
+from polysed.cli import main
 from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll,
                             generate_clip, read_annotations, read_checkpoint,
                             read_fusion_params, read_predictions, read_tfr, read_wav,
@@ -228,15 +230,26 @@ def test_tfr_archive_rejects_other_files(tmp_path):
         read_tfr(path)
 
 
+def _edit_header(path, edit):
+    """Rewrite the JSON header of the container at `path` through `edit(header)`."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack_from("<Q", raw, 8)
+    header = json.loads(raw[16:16 + head_len])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(head)) + head + raw[16 + head_len:])
+
+
+FRAMING_KEYS = ("hop_ms", "frame_ms", "log_floor")
+
+
 @pytest.mark.parametrize("field,value", [(0, 10.0), (1, 25.0), (2, 1e-8)])
 def test_tfr_archive_rejects_other_framing(tmp_path, field, value):
     """Hop ms, frame length ms and log floor are fixed by the method; an
     archive declaring other values is refused, not reinterpreted."""
     path = tmp_path / "other.tfr"
     write_tfr(extract(AudioClip(np.zeros((2, 4000))), logmel_config(8)), path)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<d", raw, 4 + struct.calcsize("<IBBIIII") + 8 * field, value)
-    path.write_bytes(bytes(raw))
+    _edit_header(path, lambda header: header.update({FRAMING_KEYS[field]: value}))
     with pytest.raises(DataError) as exc:
         read_tfr(path)
     assert str(exc.value).startswith(f"{path}: framing")
@@ -365,6 +378,90 @@ def test_failed_replace_keeps_the_old_file(tmp_path, monkeypatch, suffix):
         ARTIFACT_WRITERS[suffix](path)
     assert path.read_bytes() == b"old bytes"
     assert list(tmp_path.iterdir()) == [path]
+
+
+# -- corrupt container headers -------------------------------------------------------------
+
+def _in_version_1_layout(path):
+    """Rewrite the artifact at `path` as the version-1 file earlier releases wrote."""
+    if path.suffix == ".tfr":
+        values = read_tfr(path).values
+        frames, bins, channels = values.shape
+        head = struct.pack("<IBBIIIIddd", 1, 1, channels, bins, frames, 1024, bins,
+                           20.0, 40.0, 1e-10)
+        path.write_bytes(b"PSTF" + head + values.astype("<f4").tobytes())
+    elif path.suffix == ".pred":
+        scores, hop, labels = read_predictions(path)
+        block = json.dumps(labels).encode("utf-8")
+        path.write_bytes(b"PSPR" + struct.pack("<IIId", 1, *scores.shape, hop)
+                         + struct.pack("<I", len(block)) + block + scores.astype("<f4").tobytes())
+    else:  # a version-1 checkpoint begins like the container
+        raw = path.read_bytes()
+        path.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+
+
+def _header_edit(edit):
+    return lambda path: _edit_header(path, edit)
+
+
+def _first_array(**entry):
+    return _header_edit(lambda header: header["arrays"][0].update(entry))
+
+
+CORRUPT_HEADERS = {
+    "tfr_name_not_a_string": ("tfr", _header_edit(lambda h: h.update(tfr=5))),
+    "tfr_name_of_no_feature": ("tfr", _header_edit(lambda h: h.update(tfr="stft_1000"))),
+    "tfr_bins_disagree_with_name": ("tfr", _header_edit(lambda h: h.update(tfr="logmel_9"))),
+    "tfr_f8_values": ("tfr", _first_array(dtype="<f8")),
+    "tfr_negative_shape": ("tfr", _first_array(shape=[-1, 8, 2])),
+    "tfr_offset_past_end": ("tfr", _first_array(offset=1 << 40)),
+    "tfr_version_1": ("tfr", _in_version_1_layout),
+    "ckpt_integer_parameter": ("ckpt", _first_array(dtype="<i8")),
+    "ckpt_offset_past_end": ("ckpt", _first_array(offset=1 << 40)),
+    "ckpt_version_1": ("ckpt", _in_version_1_layout),
+    "pred_f8_scores": ("pred", _first_array(dtype="<f8")),
+    "pred_negative_shape": ("pred", _first_array(shape=[-40, 2])),
+    "pred_labels_not_a_list": ("pred", _header_edit(lambda h: h.update(labels=5))),
+    "pred_labels_not_strings": ("pred", _header_edit(lambda h: h.update(labels=["a", 3]))),
+    "pred_version_1": ("pred", _in_version_1_layout),
+}
+
+# where a run directory keeps each artifact, and a command that reads it first
+CLI_READS = {"tfr": ("tfr/logmel_8/train/c.tfr", ["train", "--tfr", "logmel_8"]),
+             "ckpt": ("models/logmel_8.ckpt", ["predict", "--tfr", "logmel_8"]),
+             "pred": ("pred/logmel_8/val.pred", ["fuse-fit"])}
+
+RUN_CFG = """\
+[dataset]
+classes = a:tone:100-200, b:noise:300-400
+
+[model logmel_8]
+cnn_kernels = 2
+cnn_kernel_dim = 3
+pool_dims = 2
+n_primary_caps = 2
+primary_cap_dim = 2
+output_cap_dim = 2
+routing_iters = 1
+"""
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_HEADERS))
+def test_corrupt_container_header_exits_2_naming_the_file(tmp_path, capsys, case):
+    suffix, corrupt = CORRUPT_HEADERS[case]
+    rel, argv = CLI_READS[suffix]
+    out = tmp_path / "out"
+    path = out / rel
+    reader = ARTIFACT_WRITERS[suffix](path)
+    reader(path)  # the intact file reads
+    corrupt(path)
+    with pytest.raises(DataError, match=re.escape(str(path))):
+        reader(path)
+    write_file(out / "corpus" / "manifest.tsv", "c\ttrain\n")
+    write_file(tmp_path / "exp.cfg", RUN_CFG)
+    assert main([*argv, "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"polysed: error: data: {path}: ") and "\n" not in err
 
 
 def test_write_file_creates_the_directory_and_replaces(tmp_path):
