@@ -16,8 +16,10 @@ Formats (all little-endian, all round-trip exactly as documented):
   .tfr ``tfr`` (the feature name) and the framing ``hop_ms``, ``frame_ms``,
   ``log_floor`` (always the method's; reading rejects others), array
   ``values`` <f4 (frame, bin, channel); .ckpt ``config``, ``freq_bins``,
-  ``channels``, ``dtype``, ``history``, ``provenance``, one <f8 or <f4
-  array per parameter; .pred ``hop`` and ``labels``, array ``scores`` <f4.
+  ``channels``, ``dtype``, ``history``, ``provenance``, one array per
+  parameter, each as ``CapsNetModel.build`` makes it for the header's
+  config, geometry and dtype; .pred ``hop`` and ``labels``, array ``scores``
+  <f4.
 * Fusion parameters: JSON text; floats serialize via ``repr`` so parsing
   returns the identical doubles.
 
@@ -520,10 +522,16 @@ def write_checkpoint(model: CapsNetModel, path, history: list | None = None,
 
 
 def _checkpoint_from(header: dict, arrays: dict) -> tuple[CapsNetModel, dict]:
+    config, dtype = CapsNetConfig(**header["config"]), np.dtype(header["dtype"])
+    geometry = header["freq_bins"], header["channels"]
+    built = CapsNetModel.build(config, *geometry, np.random.default_rng(0), dtype).parameters
+    want, got = ({name: f"{a.dtype} {a.shape}" for name, a in d.items()} for d in (built, arrays))
+    for name in sorted(want.keys() | got.keys()):
+        if want.get(name) != got.get(name):
+            raise DataError(f"parameter {name!r} is {got.get(name, 'missing')}, but the header "
+                            f"builds {want.get(name, 'no such parameter')}")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
-    model = CapsNetModel(CapsNetConfig(**header["config"]), header["freq_bins"],
-                         header["channels"], params, dtype=np.dtype(header["dtype"]))
-    return model, header
+    return CapsNetModel(config, *geometry, params, dtype=dtype), header
 
 
 def read_checkpoint(path) -> tuple[CapsNetModel, dict]:

@@ -487,19 +487,37 @@ def conv2d(x, kernels, bias=None) -> Tensor:
 
 
 def maxpool_last(x, pool: int) -> Tensor:
-    """Non-overlapping max pooling over the last axis (the frequency axis)."""
+    """Non-overlapping max pooling over the last axis (the frequency axis).
+
+    Forward is a running ``np.maximum`` over the ``pool`` strided slices of
+    each block, so a NaN anywhere in a block pools to NaN.  Backward sends
+    the gradient to each block's first maximum, as ``argmax`` would; it
+    rebuilds that index as the count of leading entries that differ from
+    the pooled value, so the tape keeps only ``x`` and the output.  A block
+    of ``+0.0`` and ``-0.0`` may pool to a later zero's sign (they compare
+    equal, so the routing holds, and ReLU maps both to ``+0.0``).  A NaN
+    block routes to its last entry, not its first NaN; the ReLU after each
+    pool in the model passes a zero gradient there, so nothing changes.
+    """
     x = _as_tensor(x)
     p = int(pool)
     f = x.shape[-1]
     if p < 1 or f % p != 0:
         raise ShapeError(f"maxpool_last: pool {p} does not divide axis size {f}")
     blocks = x.data.reshape(x.shape[:-1] + (f // p, p))
-    idx = blocks.argmax(axis=-1)
-    data = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    data = blocks[..., 0].copy()
+    for j in range(1, p):
+        np.maximum(data, blocks[..., j], out=data)
 
     def bwd(g):
-        gb = np.zeros_like(blocks)
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
+        blocks = x.data.reshape(data.shape + (p,))
+        first = np.arange(0, x.size, p).reshape(data.shape)
+        before = np.ones(data.shape, dtype=bool)
+        for j in range(p - 1):
+            before &= blocks[..., j] != data
+            first += before
+        gb = np.zeros(x.size, dtype=x.data.dtype)
+        gb[first.ravel()] = g.ravel()
         return (gb.reshape(x.shape),)
 
     return _result(data, (x,), bwd)

@@ -36,6 +36,17 @@ def dft_oracle(frame: np.ndarray) -> np.ndarray:
     return w @ frame.astype(np.float64)
 
 
+def maxpool_oracle(x: np.ndarray, pool: int, g: np.ndarray):
+    """Max pooling over the last axis by its argmax definition: the pooled
+    values, and the input gradient of sum(g * pooled), which goes to the
+    first maximum of each block."""
+    blocks = x.reshape(x.shape[:-1] + (x.shape[-1] // pool, pool))
+    idx = blocks.argmax(axis=-1)[..., None]
+    gx = np.zeros_like(blocks)
+    np.put_along_axis(gx, idx, g[..., None], axis=-1)
+    return np.take_along_axis(blocks, idx, axis=-1)[..., 0], gx.reshape(x.shape)
+
+
 def segment_counts_oracle(ref: np.ndarray, pred: np.ndarray, frames_per_seg: int):
     """Brute-force per-segment S/D/I/N by enumerating every (segment, event)."""
     t_total, n_events = ref.shape

@@ -324,6 +324,19 @@ def test_train_deterministic_history():
         np.testing.assert_array_equal(a.parameters[name].numpy(), b.parameters[name].numpy())
 
 
+def test_train_stops_on_a_nan_window():
+    """A NaN input pools to NaN, which the first ReLU turns into 0, so the
+    loss stays finite; the first conv kernel's gradient takes the NaN, and
+    the AdaDelta step refuses it before any parameter moves."""
+    windows = _toy_windows(0, 2)
+    windows[0].values[100, 3, 0] = np.nan
+    T.set_finite_checks(False)
+    model = CapsNetModel.build(tiny_config(), 8, 2, stream(42))
+    with pytest.raises(NumericError, match="non-finite gradient for parameter 'conv0_kernel'"):
+        train(model, windows[:1], windows[1:], hop_seconds=0.02, epochs=1, patience=1,
+              batch_size=1, seed=0)
+
+
 class _EchoModel:
     """Predicts each window's first channel as its event scores."""
 

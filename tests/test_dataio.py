@@ -20,6 +20,7 @@ from polysed.dsp import AudioClip, extract, logmel_config
 from polysed.errors import DataError
 from polysed.fusion import FusionParams
 from polysed.rng import stream
+from polysed.tensor import Tensor
 
 THREE_CLASSES = (
     ClassSpec("low_tone", "tone", 300.0, 600.0),
@@ -408,6 +409,16 @@ def _first_array(**entry):
     return _header_edit(lambda header: header["arrays"][0].update(entry))
 
 
+def _parameters_edit(edit):
+    """Rewrite the checkpoint at `path` after `edit(model)`, a whole and
+    well-formed container whose parameters no longer fit its header."""
+    def corrupt(path):
+        model, header = read_checkpoint(path)
+        edit(model)
+        write_checkpoint(model, path, history=header["history"])
+    return corrupt
+
+
 CORRUPT_HEADERS = {
     "tfr_name_not_a_string": ("tfr", _header_edit(lambda h: h.update(tfr=5))),
     "tfr_name_of_no_feature": ("tfr", _header_edit(lambda h: h.update(tfr="stft_1000"))),
@@ -419,6 +430,14 @@ CORRUPT_HEADERS = {
     "ckpt_integer_parameter": ("ckpt", _first_array(dtype="<i8")),
     "ckpt_offset_past_end": ("ckpt", _first_array(offset=1 << 40)),
     "ckpt_version_1": ("ckpt", _in_version_1_layout),
+    "ckpt_renamed_parameter": ("ckpt", _first_array(name="conv0_offset")),
+    "ckpt_missing_parameter": ("ckpt", _parameters_edit(lambda m: m.parameters.pop("conv0_kernel"))),
+    "ckpt_extra_parameter": ("ckpt", _parameters_edit(
+        lambda m: m.parameters.update(conv1_kernel=Tensor(np.zeros((2, 2, 3, 3)))))),
+    "ckpt_parameter_of_wrong_shape": ("ckpt", _parameters_edit(
+        lambda m: m.parameters.update(primary_bias=Tensor(np.zeros(5))))),
+    "ckpt_f8_parameters_under_f4_header": ("ckpt", _parameters_edit(
+        lambda m: setattr(m, "dtype", np.dtype(np.float32)))),
     "pred_f8_scores": ("pred", _first_array(dtype="<f8")),
     "pred_negative_shape": ("pred", _first_array(shape=[-40, 2])),
     "pred_labels_not_a_list": ("pred", _header_edit(lambda h: h.update(labels=5))),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, max_rel_err
+from helpers import finite_diff_grad, max_rel_err, maxpool_oracle
 
 from polysed import tensor as T
 from polysed.errors import NumericError, ShapeError
@@ -262,6 +262,71 @@ def test_gradcheck_composed_net():
 def test_maxpool_requires_divisible():
     with pytest.raises(ShapeError):
         T.maxpool_last(Tensor(np.zeros((2, 3, 7))), 2)
+
+
+def _tie_heavy_blocks(rng, pool, n_blocks):
+    """(4, n_blocks * pool) rows of blocks that tie: small random integers,
+    all-equal blocks, mixed +0.0/-0.0 blocks and all-negative blocks."""
+    size = (n_blocks, pool)
+    rows = [rng.integers(-2, 3, size=size),
+            np.repeat(rng.integers(-3, 4, size=(n_blocks, 1)), pool, axis=1),
+            rng.choice(np.array([0.0, -0.0]), size=size),
+            -rng.integers(1, 4, size=size)]
+    return np.stack([r.astype(np.float64).ravel() for r in rows])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("pool", [1, 2, 3, 4, 12])
+def test_maxpool_matches_argmax_definition_on_ties(pool, dtype):
+    """Values and input gradients equal the argmax definition's bit for bit,
+    with the gradient on the first maximum of every tied block; pool 12 is
+    the whole axis."""
+    rng = np.random.default_rng(pool)
+    x0 = np.stack([_tie_heavy_blocks(rng, pool, 12 // pool),
+                   np.round(rng.normal(size=(4, 12)) * 2)]).astype(dtype)
+    g0 = rng.normal(size=(2, 4, 12 // pool)).astype(dtype)
+    x = Tensor(x0, requires_grad=True)
+    out = T.maxpool_last(x, pool)
+    grad = gradients(T.tsum(T.mul(out, Tensor(g0))), {"x": x})["x"]
+    ref_out, ref_grad = maxpool_oracle(x0, pool, g0)
+    assert out.dtype == grad.dtype == dtype
+    np.testing.assert_array_equal(out.numpy(), ref_out)
+    np.testing.assert_array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("position", range(4))
+def test_maxpool_propagates_nan(position):
+    """A NaN anywhere in a block pools to NaN, which the finite checks report.
+    Its gradient goes to the block's last entry rather than to the first NaN,
+    but through the ReLU that follows the pool in the model it is zero, so
+    the input gradient equals the argmax definition's."""
+    x0 = np.array([[1.0, 3.0, 2.0, 3.0, -1.0, -2.0, -1.0, -4.0, 0.5, 2.0, 1.0, 2.0]])
+    x0[0, position] = np.nan
+    g0 = np.array([[5.0, 7.0, 3.0]])
+    with pytest.raises(NumericError):
+        T.maxpool_last(Tensor(x0), 4)
+    T.set_finite_checks(False)
+    x = Tensor(x0, requires_grad=True)
+    out = T.maxpool_last(x, 4)
+    np.testing.assert_array_equal(out.numpy(), [[np.nan, -1.0, 2.0]])
+    np.testing.assert_array_equal(out._bwd(g0)[0], [[0, 0, 0, 5, 7, 0, 0, 0, 0, 3, 0, 0]])
+    pooled = T.relu(T.maxpool_last(x, 4))
+    grad = gradients(T.tsum(T.mul(pooled, Tensor(g0))), {"x": x})["x"]
+    ref_out = maxpool_oracle(x0, 4, g0)[0]
+    np.testing.assert_array_equal(grad, maxpool_oracle(x0, 4, g0 * (ref_out > 0))[1])
+
+
+def test_maxpool_tape_holds_only_input_and_output():
+    """Backward keeps no index array: every array its closure holds is a
+    view of the input or of the pooled output."""
+    x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 12)), requires_grad=True)
+    out = T.maxpool_last(x, 4)
+    held = [cell.cell_contents for cell in out._bwd.__closure__]
+    arrays = [v.data if isinstance(v, Tensor) else v for v in held
+              if isinstance(v, (Tensor, np.ndarray))]
+    assert arrays
+    for arr in arrays:
+        assert np.shares_memory(arr, x.data) or np.shares_memory(arr, out.data)
 
 
 def test_no_grad_suppresses_tape():
