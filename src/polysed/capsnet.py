@@ -1,7 +1,8 @@
 """Per-frame event detection with a capsule network.
 
 The model maps one 256-frame feature window (frames, bins, channels) to a
-(256, n_events) activity matrix.  Three stages:
+(256, n_events) activity matrix, or a stack of N windows to (N, 256,
+n_events).  Three stages:
 
 1. a stack of 2-D conv blocks (ReLU, frequency-only max pooling, dropout
    while training).  Convolutions are zero-padded so both the time and the
@@ -15,8 +16,11 @@ The model maps one 256-frame feature window (frames, bins, channels) to a
    time index.  An event's activation is the length of its output capsule,
    which the squash nonlinearity keeps inside [0, 1).
 
-Training uses AdaDelta on a masked multi-label cross-entropy with an L2
-penalty, validating after each epoch with the segment-based error rate and
+The conv stack runs once per window; from the primary capsules on, the
+frames of a whole stack are one set of rows, so a stack costs one pass
+through the head.  Training uses AdaDelta on a masked multi-label
+cross-entropy with an L2 penalty, one forward, loss and backward pass per
+batch, validating after each epoch with the segment-based error rate and
 keeping the parameters of the best epoch (early stop after `patience`
 epochs without improvement).
 """
@@ -89,13 +93,15 @@ def residential_config(n_events: int) -> CapsNetConfig:
 
 @dataclass
 class ActivityMatrix:
-    """Per-frame, per-event activation strengths in [0, 1]."""
+    """Per-frame, per-event activation strengths in [0, 1], for one window
+    (256, n_events) or a stack of them (N, 256, n_events)."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        if self.values.ndim != 2 or self.values.shape[0] != WINDOW_FRAMES:
-            raise ShapeError(f"activity matrix must be ({WINDOW_FRAMES}, n_events), got {self.values.shape}")
+        if self.values.ndim not in (2, 3) or self.values.shape[-2] != WINDOW_FRAMES:
+            raise ShapeError(f"activity matrix must be ([N,] {WINDOW_FRAMES}, n_events), "
+                             f"got {self.values.shape}")
         if not np.isfinite(self.values).all():
             raise NumericError("activation strengths are not finite")
         if self.values.min() < 0.0 or self.values.max() > 1.0:
@@ -214,44 +220,69 @@ class CapsNetModel:
 
     def forward(self, window_values: np.ndarray, train_mode: bool = False,
                 rng: np.random.Generator | None = None) -> Tensor:
-        """Activity tensor (frames, n_events) for one feature window."""
+        """Activity tensor (frames, n_events) for one feature window, or
+        (N, frames, n_events) for a stack of N windows.
+
+        Each window runs through the conv stack on its own, in stack order
+        (so dropout masks are drawn as for N single-window calls); their
+        features are then joined along time, and the primary capsules,
+        routing and output norms run once over all N*256 frames.
+        """
         w = np.asarray(window_values, dtype=self.dtype)
-        if w.ndim != 3 or w.shape[0] != WINDOW_FRAMES:
-            raise ShapeError(f"window must be ({WINDOW_FRAMES}, bins, channels), got {w.shape}")
-        if w.shape[1] != self.freq_bins or w.shape[2] != self.channels:
+        if w.ndim not in (3, 4) or w.shape[-3] != WINDOW_FRAMES:
+            raise ShapeError(f"window must be ([N,] {WINDOW_FRAMES}, bins, channels), got {w.shape}")
+        if w.shape[-2:] != (self.freq_bins, self.channels):
             raise ShapeError(
-                f"window geometry {w.shape[1:]} does not match the model's "
+                f"window geometry {w.shape[-2:]} does not match the model's "
                 f"({self.freq_bins}, {self.channels})")
         if train_mode and self.config.dropout_rate > 0.0 and rng is None:
             raise ConfigError("training-mode forward needs an rng for dropout")
         cfg = self.config
+        caps, dim = cfg.n_primary_caps, cfg.primary_cap_dim
+        events, out = cfg.n_events, cfg.output_cap_dim
 
-        x = Tensor(w.transpose(2, 0, 1))                      # (C, T, F)
-        x = self._conv_stack(x, train_mode, rng)              # (C_last, T, F_red)
-        feat = T.reshape(T.transpose(x, (1, 0, 2)), (WINDOW_FRAMES, -1))
+        x = T.concat([self._conv_stack(Tensor(win.transpose(2, 0, 1)), train_mode, rng)
+                      for win in w.reshape((-1,) + w.shape[-3:])], axis=1)  # (C_last, N*T, F_red)
+        rows = x.shape[1]
+        feat = T.reshape(T.transpose(x, (1, 0, 2)), (rows, -1))
         u = T.add(T.matmul(feat, self.parameters["primary_weight"]),
                   self.parameters["primary_bias"])
-        u = squash(T.reshape(u, (WINDOW_FRAMES, cfg.n_primary_caps, cfg.primary_cap_dim)))
-        u_hat = T.matmul(
-            T.reshape(u, (WINDOW_FRAMES, cfg.n_primary_caps, 1, 1, cfg.primary_cap_dim)),
-            self.parameters["routing_weight"])
-        u_hat = T.reshape(u_hat, (WINDOW_FRAMES, cfg.n_primary_caps, cfg.n_events,
-                                  cfg.output_cap_dim))
+        u = squash(T.reshape(u, (rows, caps, dim)))
+        # one GEMM per primary capsule: (rows, dim) @ (dim, events*out)
+        weight = T.reshape(T.transpose(self.parameters["routing_weight"], (0, 2, 1, 3)),
+                           (caps, dim, events * out))
+        u_hat = T.matmul(T.transpose(u, (1, 0, 2)), weight)
+        u_hat = T.transpose(T.reshape(u_hat, (caps, rows, events, out)), (1, 0, 2, 3))
         v = dynamic_routing(u_hat, cfg.routing_iters)
-        return T.norm(v, axis=-1)
+        return T.reshape(T.norm(v, axis=-1), w.shape[:-2] + (events,))
 
     def predict(self, window_values: np.ndarray) -> ActivityMatrix:
+        """Inference-mode activities of one window or a stack of windows."""
         with no_grad():
             act = self.forward(window_values, train_mode=False)
         return ActivityMatrix(values=act.numpy())
+
+
+def predict_frames(model: CapsNetModel, windows: list, batch_size: int) -> list[np.ndarray]:
+    """Scores of each window's valid frames, in window order; the model
+    predicts stacks of at most `batch_size` windows."""
+    parts = []
+    for start in range(0, len(windows), batch_size):
+        stack = windows[start:start + batch_size]
+        act = model.predict(np.stack([w.values for w in stack])).values
+        parts += [a[:w.valid] for a, w in zip(act, stack)]
+    return parts
 
 
 def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = None,
                    params: dict[str, Tensor] | None = None, l2_weight: float = 0.0) -> Tensor:
     """Masked multi-label cross-entropy (mean per unmasked cell) plus L2.
 
-    Predictions are clamped to (1e-7, 1 - 1e-7) before the logs, so a
-    perfect prediction scores ~1e-7 per cell rather than 0.
+    `pred` is one window (frames, n_events) with a mask of (frames,), or a
+    stack (N, frames, n_events) with a mask of (N, frames); a stack scores
+    the mean over windows of each window's masked mean.  Predictions are
+    clamped to (1e-7, 1 - 1e-7) before the logs, so a perfect prediction
+    scores ~1e-7 per cell rather than 0.
     """
     target = np.asarray(target)
     if target.shape != pred.shape:
@@ -262,17 +293,20 @@ def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = N
     p = T.clip(pred, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     nll = T.neg(T.add(T.mul(Tensor(y), T.log(p)),
                       T.mul(Tensor(1.0 - y), T.log(T.sub(1.0, p)))))
-    if mask is not None:
-        mask = np.asarray(mask).astype(pred.dtype.type)
-        if mask.shape != (pred.shape[0],):
-            raise ShapeError(f"mask shape {mask.shape} != ({pred.shape[0]},)")
-        nll = T.mul(nll, Tensor(mask[:, None]))
-        denom = float(mask.sum()) * pred.shape[1]
-        if denom == 0:
-            raise DataError("mask excludes every frame")
+    if mask is None:
+        loss = T.div(T.tsum(nll), float(pred.size))
     else:
-        denom = float(pred.size)
-    loss = T.div(T.tsum(nll), denom)
+        mask = np.asarray(mask).astype(pred.dtype.type)
+        if mask.shape != pred.shape[:-1]:
+            raise ShapeError(f"mask shape {mask.shape} != {pred.shape[:-1]}")
+        nll = T.mul(nll, Tensor(mask[..., None]))
+        denom = mask.sum(axis=-1) * pred.shape[-1]
+        if not denom.all():
+            raise DataError("mask excludes every frame" + (" of a window" if denom.ndim else ""))
+        if denom.ndim:
+            loss = T.div(T.tsum(T.div(T.tsum(nll, axis=(1, 2)), denom)), float(len(denom)))
+        else:
+            loss = T.div(T.tsum(nll), float(denom))
     if l2_weight and params:
         loss = T.add(loss, T.mul(_l2_term(params), l2_weight))
     return loss
@@ -324,8 +358,8 @@ class TrainResult:
 
 
 def _validation_error_rate(model: CapsNetModel, windows: list[WindowExample],
-                           hop_seconds: float, labels: list[str]) -> float:
-    act = np.concatenate([model.predict(w.values).values[:w.valid] for w in windows])
+                           hop_seconds: float, labels: list[str], batch_size: int = 1) -> float:
+    act = np.concatenate(predict_frames(model, windows, batch_size))
     truth = np.concatenate([w.target[:w.valid] for w in windows])
     pred = (act >= DEFAULT_THRESHOLD).astype(np.uint8)
     clip_starts = [i for i, w in enumerate(windows) if w.start_frame == 0]
@@ -358,22 +392,20 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
         epoch_loss = 0.0
         for batch_no, start in enumerate(range(0, len(order), batch_size)):
             batch = [train_windows[i] for i in order[start:start + batch_size]]
-            total = None
-            for w in batch:
-                pred = model.forward(w.values, train_mode=True, rng=dropout_rng)
-                term = detection_loss(pred, w.target, mask=w.mask)
-                total = term if total is None else T.add(total, term)
-            total = T.div(total, float(len(batch)))
-            if model.config.l2_weight:
-                total = T.add(total, T.mul(_l2_term(model.parameters), model.config.l2_weight))
-            loss_value = total.item()
+            pred = model.forward(np.stack([w.values for w in batch]), train_mode=True,
+                                 rng=dropout_rng)
+            loss = detection_loss(pred, np.stack([w.target for w in batch]),
+                                  mask=np.stack([w.mask for w in batch]),
+                                  params=model.parameters, l2_weight=model.config.l2_weight)
+            loss_value = loss.item()
             if not math.isfinite(loss_value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {batch_no}")
-            grads = gradients(total, model.parameters)
+            grads = gradients(loss, model.parameters)
+            del pred, loss  # the step's tape; it would live on through the next forward
             model.parameters = adadelta_step(model.parameters, grads, state)
             epoch_loss += loss_value
         n_batches = (len(order) + batch_size - 1) // batch_size
-        val_er = _validation_error_rate(model, val_windows, hop_seconds, labels)
+        val_er = _validation_error_rate(model, val_windows, hop_seconds, labels, batch_size)
         result.history.append({"epoch": epoch, "train_loss": epoch_loss / n_batches,
                                "val_er": val_er})
         improved = val_er < stopper.best_er

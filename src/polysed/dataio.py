@@ -505,6 +505,8 @@ def _tfr_from(header: dict, arrays: dict) -> Tfr:
     tfr = Tfr(values=arrays["values"], config=parse_tfr_name(name))
     if tfr.freq_bins != tfr.config.freq_bins:
         raise DataError(f"{tfr.freq_bins} frequency bins, but {name} has {tfr.config.freq_bins}")
+    if not np.isfinite(tfr.values).all():
+        raise DataError("feature values are not all finite")
     return tfr
 
 

@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, dsp
-from .capsnet import CapsNetModel, WindowExample, train
+from .capsnet import CapsNetModel, WindowExample, predict_frames, train
 from .config import ExperimentConfig
 from .errors import ConfigError, DataError
 from .fusion import (GRID_NOTE, PredictionSet, apply_threshold, fit_fusion,
@@ -238,7 +238,8 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
 
 def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     """Frame scores for the val and eval splits, valid frames only, clip
-    order as in the manifest."""
+    order as in the manifest; each clip's windows are predicted in stacks
+    of at most `[train] batch_size`."""
     out = Path(out)
     ckpt = _ckpt_path(out, tfr_name)
     if not ckpt.exists():
@@ -249,9 +250,7 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
         parts = []
         for clip_id in clips_for_split(out, split):
             tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
-            for win in dsp.window_tfr(tfr):
-                act = model.predict(win.values).values
-                parts.append(act[:win.valid])
+            parts += predict_frames(model, dsp.window_tfr(tfr), cfg.train.batch_size)
         scores = np.concatenate(parts, axis=0)
         dataio.write_predictions(scores, dsp.HOP_SECONDS, cfg.vocabulary,
                                  _pred_path(out, tfr_name, split))

@@ -435,13 +435,18 @@ def conv2d(x, kernels, bias=None) -> Tensor:
 
     The input is unfolded channel-major (im2col): row ``(c, di, dj)`` of the
     ``(C_in*kh*kw, oh*ow)`` column matrix holds the tap ``x[c, i+di, j+dj]``
-    for every output position ``(i, j)``.  Forward, the kernel gradient and
-    the column gradient are then one GEMM each whose results already have
-    the layout their consumer needs, and the input gradient is gathered by
-    ``kh*kw`` contiguous slice adds.  The columns are ``kh*kw`` times the
-    size of ``x``, so they are not kept on the tape: backward rebuilds them
-    from ``x``, and only ``x`` and the kernels stay alive until then.  The
-    input gradient is skipped when ``x`` is not tracked.
+    for every output position ``(i, j)``.  Forward and the kernel gradient
+    are then one GEMM each whose results already have the layout their
+    consumer needs.  The columns are ``kh*kw`` times the size of ``x``, so
+    they are not kept on the tape: backward rebuilds them from ``x``, and
+    only ``x`` and the kernels stay alive until then.
+
+    The input gradient is gathered on the flattened input, where tap
+    ``(di, dj)`` of output ``(i, j)`` is ``x.flat[(i+di)*w + j+dj]``: with
+    the output gradient laid on rows of width ``w`` (zero past ``ow``),
+    each kernel row ``di`` is one GEMM and each tap one contiguous slice
+    add, and the column gradient is built one kernel row (``1/kh`` of it)
+    at a time.  It is skipped when ``x`` is not tracked.
     """
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
@@ -473,11 +478,17 @@ def conv2d(x, kernels, bias=None) -> Tensor:
         gk = (gm @ unfold().T).reshape(k.shape)
         gx = None
         if _needs_grad(x):
-            gview = (kmat.T @ gm).reshape(c_in, kh, kw, oh, ow)
-            gx = np.zeros((c_in, h, w), dtype=g.dtype)
+            # g on rows of width w, zero past ow, so tap (di, dj) of every
+            # output lands at flat offset di*w + dj of a contiguous slice
+            ge = np.zeros((c_out, oh, w), dtype=g.dtype)
+            ge[:, :, :ow] = g
+            ge = ge.reshape(c_out, oh * w)
+            flat = np.zeros((c_in, h * w + kw - 1), dtype=g.dtype)
             for di in range(kh):
+                gview = (k.data[:, :, di].reshape(c_out, c_in * kw).T @ ge).reshape(c_in, kw, -1)
                 for dj in range(kw):
-                    gx[:, di:di + oh, dj:dj + ow] += gview[:, di, dj]
+                    flat[:, di * w + dj:di * w + dj + oh * w] += gview[:, dj]
+            gx = flat[:, :h * w].reshape(c_in, h, w)
         if b is None:
             return gx, gk
         return gx, gk, gm.sum(axis=1)

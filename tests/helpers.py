@@ -47,6 +47,25 @@ def maxpool_oracle(x: np.ndarray, pool: int, g: np.ndarray):
     return np.take_along_axis(blocks, idx, axis=-1)[..., 0], gx.reshape(x.shape)
 
 
+def conv2d_strided_col2im(x: np.ndarray, k: np.ndarray, g: np.ndarray):
+    """Input and kernel gradients of sum(g * conv2d(x, k)) through the full
+    column matrix: ``gk`` from the unfolded input, ``gx`` gathered from the
+    column gradient by ``kh*kw`` strided slice adds."""
+    c_in, h, w = x.shape
+    c_out, _, kh, kw = k.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
+    gm = g.reshape(c_out, oh * ow)
+    gk = (gm @ cols.T).reshape(k.shape)
+    gview = (k.reshape(c_out, -1).T @ gm).reshape(c_in, kh, kw, oh, ow)
+    gx = np.zeros((c_in, h, w), dtype=g.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            gx[:, di:di + oh, dj:dj + ow] += gview[:, di, dj]
+    return gx, gk
+
+
 def segment_counts_oracle(ref: np.ndarray, pred: np.ndarray, frames_per_seg: int):
     """Brute-force per-segment S/D/I/N by enumerating every (segment, event)."""
     t_total, n_events = ref.shape

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import finite_diff_grad, max_rel_err
 
+from polysed import capsnet
 from polysed import tensor as T
 from polysed.capsnet import (ActivityMatrix, CapsNetConfig, CapsNetModel, EarlyStopping,
                              WindowExample, _validation_error_rate, detection_loss,
@@ -135,6 +136,86 @@ def test_train_forward_keeps_conv_inputs_not_columns():
         tracemalloc.stop()
     assert np.isfinite(loss.item())
     assert kept < 40e6
+
+
+# -- one head pass per stack of windows -------------------------------------------------
+
+def _stack(seed, n, freq=8, n_events=2):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 256, freq, 2))
+    target = (rng.uniform(size=(n, 256, n_events)) < 0.3).astype(np.uint8)
+    mask = np.ones((n, 256))
+    mask[1, 200:] = 0.0
+    return values, target, mask
+
+
+def test_stack_forward_equals_per_window_forwards():
+    model = CapsNetModel.build(tiny_config(), 8, 2, stream(50))
+    values, _, _ = _stack(0, 3)
+    stacked = model.forward(values).numpy()
+    assert stacked.shape == (3, 256, 2)
+    for w, act in zip(values, stacked):
+        np.testing.assert_allclose(act, model.forward(w).numpy(), rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(model.predict(values).values, stacked)
+
+
+def test_stack_loss_is_the_mean_of_window_losses():
+    """The stack's loss and its gradients against today's per-window sum
+    divided by the window count, with L2 on both sides."""
+    model = CapsNetModel.build(tiny_config(), 8, 2, stream(51))
+    values, target, mask = _stack(1, 3)
+    params, l2 = model.parameters, 1e-3
+    loss = detection_loss(model.forward(values), target, mask=mask, params=params, l2_weight=l2)
+    terms = [detection_loss(model.forward(v), t, mask=m) for v, t, m in zip(values, target, mask)]
+    total = T.add(T.div(T.add(T.add(terms[0], terms[1]), terms[2]), 3.0),
+                  T.mul(capsnet._l2_term(params), l2))
+    np.testing.assert_allclose(loss.item(), total.item(), rtol=1e-12)
+    got, expected = gradients(loss, params), gradients(total, params)
+    for name in params:
+        np.testing.assert_allclose(got[name], expected[name], rtol=1e-10,
+                                   atol=1e-10 * np.abs(expected[name]).max(), err_msg=name)
+
+
+def test_stack_draws_the_dropout_masks_of_per_window_calls():
+    model = CapsNetModel.build(tiny_config(dropout_rate=0.3), 8, 2, stream(52))
+    values, _, _ = _stack(2, 3)
+    rng_stack, rng_single = stream(9), stream(9)
+    stacked = model.forward(values, train_mode=True, rng=rng_stack).numpy()
+    singles = [model.forward(w, train_mode=True, rng=rng_single).numpy() for w in values]
+    assert rng_stack.bit_generator.state == rng_single.bit_generator.state
+    np.testing.assert_allclose(stacked, np.stack(singles), rtol=1e-12, atol=0)
+
+
+def test_stack_loss_rejects_bad_masks():
+    model = CapsNetModel.build(tiny_config(), 8, 2, stream(53))
+    values, target, mask = _stack(3, 2)
+    pred = model.forward(values)
+    with pytest.raises(ShapeError, match="mask shape"):
+        detection_loss(pred, target, mask=mask[0])
+    mask[1] = 0.0
+    with pytest.raises(DataError, match="every frame of a window"):
+        detection_loss(pred, target, mask=mask)
+
+
+def test_train_step_records_one_head_per_batch(monkeypatch):
+    """One 8-window step of the desk model (two conv layers of 8 kernels,
+    64 bins, f32) stays near 20 tape ops per window: conv blocks per
+    window, one capsule head, one loss.  A head per window records ~566."""
+    cfg = CapsNetConfig(cnn_kernels=(8, 8), cnn_kernel_dim=3, pool_dims=(4, 4),
+                        n_primary_caps=4, primary_cap_dim=4, output_cap_dim=4,
+                        routing_iters=3, n_events=3)
+    model = CapsNetModel.build(cfg, 64, 2, stream(54), dtype=np.float32)
+    windows = _toy_windows(4, 9, freq=64, n_events=3)
+    taped = []
+
+    def counting(loss, params):
+        taped.append(sum(node._bwd is not None for node in T._topo_order(loss)))
+        return gradients(loss, params)
+
+    monkeypatch.setattr(capsnet, "gradients", counting)
+    train(model, windows[:8], windows[8:], hop_seconds=0.02, epochs=1, patience=1,
+          batch_size=8, seed=3)
+    assert len(taped) == 1 and taped[0] <= 200
 
 
 def test_build_rejects_indivisible_freq():
@@ -341,7 +422,7 @@ class _EchoModel:
     """Predicts each window's first channel as its event scores."""
 
     def predict(self, values):
-        return ActivityMatrix(values=values[:, :, 0])
+        return ActivityMatrix(values=values[..., 0])
 
 
 def test_validation_error_rate_counts_segments_per_clip():

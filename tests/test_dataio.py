@@ -409,6 +409,15 @@ def _first_array(**entry):
     return _header_edit(lambda header: header["arrays"][0].update(entry))
 
 
+def _tfr_value(value):
+    """Rewrite the feature archive at `path` with one value set to `value`."""
+    def corrupt(path):
+        tfr = read_tfr(path)
+        tfr.values[3, 2, 1] = value
+        write_tfr(tfr, path)
+    return corrupt
+
+
 def _parameters_edit(edit):
     """Rewrite the checkpoint at `path` after `edit(model)`, a whole and
     well-formed container whose parameters no longer fit its header."""
@@ -427,6 +436,8 @@ CORRUPT_HEADERS = {
     "tfr_negative_shape": ("tfr", _first_array(shape=[-1, 8, 2])),
     "tfr_offset_past_end": ("tfr", _first_array(offset=1 << 40)),
     "tfr_version_1": ("tfr", _in_version_1_layout),
+    "tfr_nan_value": ("tfr", _tfr_value(np.nan)),
+    "tfr_inf_value": ("tfr", _tfr_value(-np.inf)),
     "ckpt_integer_parameter": ("ckpt", _first_array(dtype="<i8")),
     "ckpt_offset_past_end": ("ckpt", _first_array(offset=1 << 40)),
     "ckpt_version_1": ("ckpt", _in_version_1_layout),
@@ -481,6 +492,22 @@ def test_corrupt_container_header_exits_2_naming_the_file(tmp_path, capsys, case
     assert main([*argv, "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith(f"polysed: error: data: {path}: ") and "\n" not in err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_on_non_finite_features_exits_2(tmp_path, capsys, bad):
+    """A NaN would pass every ReLU as 0 and score silently; the reader stops it."""
+    out = tmp_path / "out"
+    _write_checkpoint(out / CLI_READS["ckpt"][0])
+    path = out / "tfr/logmel_8/val/c.tfr"
+    _write_tfr(path)
+    _tfr_value(bad)(path)
+    write_file(out / "corpus" / "manifest.tsv", "c\tval\n")
+    write_file(tmp_path / "exp.cfg", RUN_CFG)
+    argv = ["predict", "--tfr", "logmel_8", "--config", str(tmp_path / "exp.cfg"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == f"polysed: error: data: {path}: feature values are not all finite"
 
 
 def test_write_file_creates_the_directory_and_replaces(tmp_path):

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, max_rel_err, maxpool_oracle
+from helpers import conv2d_strided_col2im, finite_diff_grad, max_rel_err, maxpool_oracle
 
 from polysed import tensor as T
 from polysed.errors import NumericError, ShapeError
@@ -209,6 +211,51 @@ def test_conv2d_parameter_gradients_do_not_depend_on_input_tracking(dtype):
         grads[x_tracked] = gradients(T.tsum(T.mul(out, Tensor(g0))), {"k": k, "b": b})
     for name in ("k", "b"):
         np.testing.assert_array_equal(grads[True][name], grads[False][name])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("kernel", [1, 3, 6])
+@pytest.mark.parametrize("c_in", [1, 2, 8])
+def test_conv2d_gather_matches_strided_col2im(c_in, kernel, dtype):
+    """Backward against the full-column reference, on inputs with oh == 1
+    and with a kernel as wide as the input among them.  The kernel gradient
+    keeps its bits.  The input gradient's per-row GEMMs have another extent
+    than the reference's one GEMM, and BLAS may then sum their c_out-term
+    dot products in another order, so it is held to the rounding bound of
+    the two summations (both gather the taps in the same order)."""
+    rng = np.random.default_rng(10 * c_in + kernel)
+    c_out, eps = 4, np.finfo(dtype).eps
+    for h, w in ((7, 9), (kernel, 9), (7, kernel), (kernel, kernel)):
+        x0 = rng.normal(size=(c_in, h, w)).astype(dtype)
+        k0 = rng.normal(size=(c_out, c_in, kernel, kernel)).astype(dtype)
+        out = T.conv2d(Tensor(x0, requires_grad=True), Tensor(k0, requires_grad=True))
+        g0 = rng.normal(size=out.shape).astype(dtype)
+        gx, gk = out._bwd(g0)
+        ref_gx, ref_gk = conv2d_strided_col2im(x0, k0, g0)
+        assert gk.tobytes() == ref_gk.tobytes()
+        assert gx.dtype == dtype and gx.shape == x0.shape
+        scale = conv2d_strided_col2im(*(np.abs(a).astype(np.float64) for a in (x0, k0, g0)))[0]
+        bound = 2 * (c_out + kernel * kernel) * eps * scale
+        assert (np.abs(gx.astype(np.float64) - ref_gx) <= bound).all()
+
+
+def test_conv2d_backward_peak_memory_at_paper_layer_1():
+    """Backward of home_config's second conv (f64): the kernel gradient's
+    56.6 MB of columns are freed before the input gradient is gathered, one
+    kernel row of column gradients (11.4 MB) at a time."""
+    rng = np.random.default_rng(29)
+    out = T.conv2d(Tensor(rng.normal(size=(32, 261, 29)), requires_grad=True),
+                   Tensor(rng.normal(size=(32, 32, 6, 6)), requires_grad=True))
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        grads = out._bwd(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == (32, 261, 29)
+    assert peak < 70e6
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
