@@ -35,6 +35,8 @@ LOG_FLOOR = 1e-10  # added to the mel energies before the log
 
 #: FFT length backing every log-mel extraction, independent of band count.
 LOGMEL_FFT = 1024
+#: Frames per block of the log-mel projection (bounds its working memory).
+LOGMEL_BLOCK = 64
 
 
 @dataclass
@@ -238,12 +240,23 @@ def build_mel_filterbank(n: int, n_fft: int) -> np.ndarray:
 
 
 def logmel(clip: AudioClip, cfg: TfrConfig) -> Tfr:
-    """log(filterbank @ magnitude + floor), shape (frames, n_mels, C)."""
+    """log(filterbank @ magnitude + floor), shape (frames, n_mels, C).
+
+    The magnitudes are computed and projected `LOGMEL_BLOCK` frames at a
+    time, so the (frames, 1 + n_fft/2, C) spectrogram never exists whole;
+    every frame is its own transform and GEMM, so the values are those of
+    the whole-clip projection bit for bit.
+    """
     if cfg.kind != "logmel":
         raise DataError(f"logmel called with a {cfg.kind!r} config")
-    mag = stft_magnitude(clip, cfg)
     fb = build_mel_filterbank(cfg.n_mels, cfg.n_fft)
-    mel = np.matmul(fb, mag.values)  # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
+    n_frames = max(1, 1 + (clip.n_samples - FRAME_LEN) // HOP)  # too short: stft_magnitude raises
+    mel = np.empty((n_frames, cfg.n_mels, clip.channels))
+    for t in range(0, n_frames, LOGMEL_BLOCK):
+        part = AudioClip(clip.samples[:, t * HOP:(t + LOGMEL_BLOCK - 1) * HOP + FRAME_LEN],
+                         clip.sample_rate)
+        # (n, f) @ (t, f, c) -> (t, n, c), BLAS-backed
+        mel[t:t + LOGMEL_BLOCK] = np.matmul(fb, stft_magnitude(part, cfg).values)
     return Tfr(values=np.log(mel + LOG_FLOOR), config=cfg)
 
 

@@ -180,6 +180,27 @@ def test_logmel_matches_filterbank_times_stft():
     assert lm.n_frames == mag.n_frames
 
 
+# frame counts on both sides of the projection's block edges, and a full clip
+@pytest.mark.parametrize("frames", [dsp.LOGMEL_BLOCK - 1, dsp.LOGMEL_BLOCK, dsp.LOGMEL_BLOCK + 1,
+                                    2 * dsp.LOGMEL_BLOCK + 13, 499])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_blockwise_logmel_is_the_whole_clip_projection_bit_for_bit(frames, channels):
+    n = dsp.FRAME_LEN + (frames - 1) * dsp.HOP + dsp.HOP // 2  # a partial hop at the end
+    rng = np.random.default_rng(frames + channels)
+    clip = AudioClip(rng.uniform(-0.5, 0.5, size=(channels, n)))
+    cfg = logmel_config(64)
+    mag = stft_magnitude(clip, stft_config(cfg.n_fft))
+    whole = np.log(np.matmul(build_mel_filterbank(64, cfg.n_fft), mag.values) + dsp.LOG_FLOOR)
+    lm = logmel(clip, cfg)
+    assert lm.values.shape == whole.shape == (frames, 64, channels)
+    assert lm.values.tobytes() == whole.tobytes()
+
+
+def test_logmel_short_clip_raises():
+    with pytest.raises(DataError):
+        logmel(AudioClip(np.zeros((2, dsp.FRAME_LEN - 1))), logmel_config(64))
+
+
 def test_logmel_monotone_in_amplitude():
     clip = _noise_clip(seconds=0.3, seed=10)
     louder = AudioClip(clip.samples * 2.0, clip.sample_rate)
