@@ -201,7 +201,8 @@ def _release_free_heap() -> None:
     """Hand the free pages of the C heap back to the OS (glibc's
     ``malloc_trim``; a no-op where the C library has none).
 
-    Training allocates and frees tens of MB of tape per step.  glibc keeps
+    Training allocates and frees tens of MB per step: the arrays the
+    tape's backward rules read, then the gradients.  glibc keeps
     freed pages mapped, and how many it keeps depends on where earlier
     blocks landed, which extract's worker threads make vary from run to
     run, so without this the resident size of training and of every stage

@@ -3,14 +3,20 @@
 Values are stored as numpy arrays (float64 by default; float32 is available
 as a speed mode, but gradient verification is only meaningful in float64).
 Each operation returns a fresh :class:`Tensor`; when autograd is enabled and
-an input participates in differentiation, the result records its parents and
-a backward rule, so the chain of results forms the tape that
-:func:`gradients` replays in reverse topological order.  :func:`gradients`
+an input participates in differentiation, the result gets a tape node that
+records its parents' nodes and a backward rule, so the nodes form the tape
+that :func:`gradients` replays in reverse topological order.  :func:`gradients`
 is the only way to backpropagate: it returns the adjoints of a scalar loss
 for named parameters and stores nothing on the tensors.  It computes no
 adjoint for an untracked input, one that neither requires a gradient nor
 was produced on the tape (a dropout mask, a target, a loss mask, the input
-window): no op result is stored for it, and `conv2d` skips the GEMM.
+window): it has no node, and `conv2d` skips the GEMM.
+
+The tape keeps only what backward reads.  A node holds no tensor, so an
+op result lives only as long as the caller holds it or a backward rule
+reads its array: a rule keeps arrays and shapes, and only those its
+gradients need (``tsum`` keeps a shape, ``mul`` by an untracked mask keeps
+the mask, ``maxpool_last`` a one-byte position per block).
 
 Tensors are treated as immutable values: no operation writes into an
 existing array, which makes them safe to share between model instances.
@@ -29,6 +35,11 @@ from .errors import NumericError, ShapeError
 
 DEFAULT_DTYPE = np.float64
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# Largest im2col column matrix `conv2d` unfolds in one piece: half of
+# glibc's 32 MB ceiling for its dynamic mmap threshold, so the blocks are
+# served from the heap instead of being mapped and page-faulted per call.
+COLUMN_BLOCK_BYTES = 16 << 20
 
 
 class _State(threading.local):
@@ -58,15 +69,29 @@ def set_finite_checks(enabled: bool) -> None:
     _STATE.finite_checks = bool(enabled)
 
 
+class _Node:
+    """One entry of the tape: the parents' nodes (``None`` for an untracked
+    parent) and the backward rule, which maps the result's gradient to one
+    gradient (or ``None``) per parent."""
+
+    __slots__ = ("_parents", "_bwd")
+
+    def __init__(self, parents: tuple[_Node | None, ...] = (), bwd: Callable | None = None):
+        self._parents = parents
+        self._bwd = bwd
+
+
 class Tensor:
     """A dense multi-dimensional array, optionally tracked on the tape.
 
     `data` is row-major; `shape` and element count always agree because the
     storage is the numpy array itself.  Gradients computed by
-    :func:`gradients` have exactly the parameter's shape.
+    :func:`gradients` have exactly the parameter's shape.  A leaf that
+    requires a gradient, or a result recorded on the tape, has a node;
+    any other tensor has none.
     """
 
-    __slots__ = ("data", "requires_grad", "_parents", "_bwd")
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -74,8 +99,19 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
-        self._bwd: Callable | None = None
+        self._node: _Node | None = _Node() if requires_grad else None
+
+    @property
+    def _parents(self) -> tuple[_Node | None, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _bwd(self) -> Callable | None:
+        return None if self._node is None else self._node._bwd
+
+    @_bwd.setter
+    def _bwd(self, bwd: Callable) -> None:
+        self._node._bwd = bwd
 
     # -- introspection -----------------------------------------------------
     @property
@@ -116,7 +152,7 @@ def _as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 def _needs_grad(t: Tensor) -> bool:
     """True if `t` requires a gradient or was produced on the tape."""
-    return t.requires_grad or t._bwd is not None
+    return t._node is not None
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -130,8 +166,7 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], bwd: Callable | None)
         raise NumericError("operation produced non-finite values")
     out = Tensor(data)
     if bwd is not None and _tracked(*parents):
-        out._parents = parents
-        out._bwd = bwd
+        out._node = _Node(tuple(p._node for p in parents), bwd)
     return out
 
 
@@ -146,11 +181,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    """Post-order over the tape (parents before dependents)."""
-    order: list[Tensor] = []
+def _topo_order(root: Tensor) -> list[_Node]:
+    """Post-order over the tape's nodes (parents before dependents)."""
+    order: list[_Node] = []
+    if root._node is None:
+        return order
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -161,27 +198,31 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
 
 def _run_backward(loss: Tensor) -> dict[int, np.ndarray]:
+    """Adjoints of `loss`, keyed by the id of each reached leaf's node."""
     if loss.shape != ():
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _topo_order(loss)
-    grads: dict[int, np.ndarray] = {id(loss): np.ones((), dtype=loss.data.dtype)}
+    if not order:
+        return {}
+    root = loss._node
+    grads: dict[int, np.ndarray] = {id(root): np.ones((), dtype=loss.data.dtype)}
     for node in reversed(order):
         g = grads.get(id(node))
         if g is None or node._bwd is None:
             continue
         parent_grads = node._bwd(g)
         for parent, pg in zip(node._parents, parent_grads):
-            if pg is None or not _needs_grad(parent):
+            if pg is None or parent is None:
                 continue
             cur = grads.get(id(parent))
             grads[id(parent)] = pg if cur is None else cur + pg
-        if node is not loss:
+        if node is not root:
             del grads[id(node)]  # free interior grads as soon as they are consumed
     return grads
 
@@ -195,7 +236,7 @@ def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarra
     grads = _run_backward(loss)
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
-        g = grads.get(id(p))
+        g = None if p._node is None else grads.get(id(p._node))
         if g is None:
             warnings.warn(f"parameter {name!r} is not reached by the loss; gradient is zero")
             g = np.zeros_like(p.data)
@@ -205,17 +246,25 @@ def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarra
 
 # -- elementwise primitives --------------------------------------------------
 
-def _broadcast_op(a, b, fwd, bwd_a, bwd_b, opname):
+def _broadcast_op(a, b, fwd, bwd_a, bwd_b, opname, reads=("", "")):
+    """Elementwise `fwd` with broadcasting.  ``reads`` names the operand
+    arrays (``"x"``, ``"y"``) that the rules ``bwd_a(g, x, y)`` and
+    ``bwd_b(g, x, y)`` read; the tape keeps those a tracked operand's reads."""
     a = _as_tensor(a, like=b if isinstance(b, Tensor) else None)
     b = _as_tensor(b, like=a)
     try:
         data = fwd(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{opname}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    track_a, track_b = _needs_grad(a), _needs_grad(b)
+    kept = (reads[0] if track_a else "") + (reads[1] if track_b else "")
+    x = a.data if "x" in kept else None
+    y = b.data if "y" in kept else None
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return (_unbroadcast(bwd_a(g, a.data, b.data), a.shape),
-                _unbroadcast(bwd_b(g, a.data, b.data), b.shape))
+        return (_unbroadcast(bwd_a(g, x, y), a_shape) if track_a else None,
+                _unbroadcast(bwd_b(g, x, y), b_shape) if track_b else None)
 
     return _result(data, (a, b), bwd)
 
@@ -235,13 +284,13 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     return _broadcast_op(a, b, np.multiply,
                          lambda g, x, y: g * y,
-                         lambda g, x, y: g * x, "mul")
+                         lambda g, x, y: g * x, "mul", reads=("y", "x"))
 
 
 def div(a, b) -> Tensor:
     return _broadcast_op(a, b, np.divide,
                          lambda g, x, y: g / y,
-                         lambda g, x, y: -g * x / (y * y), "div")
+                         lambda g, x, y: -g * x / (y * y), "div", reads=("y", "xy"))
 
 
 def neg(a) -> Tensor:
@@ -251,12 +300,14 @@ def neg(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = _as_tensor(a)
-    return _result(a.data * a.data, (a,), lambda g: (2.0 * a.data * g,))
+    x = a.data
+    return _result(x * x, (a,), lambda g: (2.0 * x * g,))
 
 
 def log(a) -> Tensor:
     a = _as_tensor(a)
-    return _result(np.log(a.data), (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _result(np.log(x), (a,), lambda g: (g / x,))
 
 
 def exp(a) -> Tensor:
@@ -302,9 +353,10 @@ def _restore_reduced(g, shape, axis, keepdims):
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.shape
 
     def bwd(g):
-        return (_restore_reduced(g, a.shape, axis, keepdims).copy(),)
+        return (_restore_reduced(g, shape, axis, keepdims).copy(),)
 
     return _result(data, (a,), bwd)
 
@@ -314,9 +366,10 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
     count = a.data.size if axis is None else np.prod(
         [a.shape[ax % a.ndim] for ax in (axis if isinstance(axis, tuple) else (axis,))])
+    shape = a.shape
 
     def bwd(g):
-        return (_restore_reduced(g, a.shape, axis, keepdims) / count,)
+        return (_restore_reduced(g, shape, axis, keepdims) / count,)
 
     return _result(data, (a,), bwd)
 
@@ -324,13 +377,14 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 def norm(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """L2 norm over one axis; gradient at the zero vector is zero."""
     a = _as_tensor(a)
-    n_keep = np.sqrt(np.sum(a.data * a.data, axis=axis, keepdims=True))
+    x = a.data
+    n_keep = np.sqrt(np.sum(x * x, axis=axis, keepdims=True))
     data = n_keep if keepdims else np.squeeze(n_keep, axis=axis)
 
     def bwd(g):
         gk = g if keepdims else np.expand_dims(g, axis)
         safe = np.where(n_keep == 0.0, 1.0, n_keep)
-        return (gk * a.data / safe,)
+        return (gk * x / safe,)
 
     return _result(data, (a,), bwd)
 
@@ -356,7 +410,8 @@ def reshape(a, shape) -> Tensor:
     if np.prod(shape, dtype=np.int64) != a.size and -1 not in shape:
         raise ShapeError(f"reshape: cannot view {a.shape} ({a.size} values) as {shape}")
     data = a.data.reshape(shape)
-    return _result(data, (a,), lambda g: (g.reshape(a.shape),))
+    source_shape = a.shape
+    return _result(data, (a,), lambda g: (g.reshape(source_shape),))
 
 
 def transpose(a, axes: Sequence[int]) -> Tensor:
@@ -419,12 +474,29 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: batch dimensions of {a.shape} and {b.shape} do not broadcast") from None
 
+    track_a, track_b = _needs_grad(a), _needs_grad(b)
+    x = a.data if track_b else None
+    y = b.data if track_a else None
+    a_shape, b_shape = a.shape, b.shape
+
     def bwd(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        ga = _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), a_shape) if track_a else None
+        gb = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), b_shape) if track_b else None
+        return ga, gb
 
     return _result(data, (a, b), bwd)
+
+
+def _blocks(size: int, n: int, cols: int):
+    """``(start, stop)`` of at most `n` near-equal parts of ``range(size)``,
+    where each index spans `cols` GEMM columns.  Each part starts at a
+    multiple of 8 columns: OpenBLAS (0.3.31, AVX-512) computes the columns
+    of a product past its last multiple of 8 with an edge kernel that sums
+    in another order, so a block edge elsewhere changes their bits."""
+    step = 8 // int(np.gcd(cols, 8))
+    units = -(-size // step)
+    for part in np.array_split(np.arange(units), min(n, units)):
+        yield int(part[0]) * step, min((int(part[-1]) + 1) * step, size)
 
 
 def conv2d(x, kernels, bias=None) -> Tensor:
@@ -436,10 +508,15 @@ def conv2d(x, kernels, bias=None) -> Tensor:
     The input is unfolded channel-major (im2col): row ``(c, di, dj)`` of the
     ``(C_in*kh*kw, oh*ow)`` column matrix holds the tap ``x[c, i+di, j+dj]``
     for every output position ``(i, j)``.  Forward and the kernel gradient
-    are then one GEMM each whose results already have the layout their
-    consumer needs.  The columns are ``kh*kw`` times the size of ``x``, so
-    they are not kept on the tape: backward rebuilds them from ``x``, and
-    only ``x`` and the kernels stay alive until then.
+    are then GEMMs whose results already have the layout their consumer
+    needs.  The columns are ``kh*kw`` times the size of ``x``, so they are
+    not kept on the tape: backward unfolds ``x`` again, and only the arrays
+    of ``x`` and the kernels stay alive until then.  Columns over
+    :data:`COLUMN_BLOCK_BYTES` are unfolded in ``ceil(bytes /
+    COLUMN_BLOCK_BYTES)`` blocks: forward in blocks of output rows, the
+    kernel gradient in blocks of input channels, each starting on a
+    multiple of 8 GEMM columns.  Every entry is still one dot product over
+    all of its terms, with the bits of one GEMM.
 
     The input gradient is gathered on the flattened input, where tap
     ``(di, dj)`` of output ``(i, j)`` is ``x.flat[(i+di)*w + j+dj]``: with
@@ -462,22 +539,31 @@ def conv2d(x, kernels, bias=None) -> Tensor:
     if b is not None and b.shape != (c_out,):
         raise ShapeError(f"conv2d: bias shape {b.shape} != ({c_out},)")
 
+    xd, kd = x.data, k.data
     oh, ow = h - kh + 1, w - kw + 1
+    n_blocks = -(-c_in * kh * kw * oh * ow * xd.itemsize // COLUMN_BLOCK_BYTES)
 
-    def unfold():
-        win = np.lib.stride_tricks.sliding_window_view(x.data, (kh, kw), axis=(1, 2))
-        return win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
+    def unfold(xs):
+        win = np.lib.stride_tricks.sliding_window_view(xs, (kh, kw), axis=(1, 2))
+        return win.transpose(0, 3, 4, 1, 2).reshape(xs.shape[0] * kh * kw, -1)
 
-    kmat = k.data.reshape(c_out, c_in * kh * kw)
-    out = (kmat @ unfold()).reshape(c_out, oh, ow)
+    kmat = kd.reshape(c_out, c_in * kh * kw)
+    out = np.empty((c_out, oh * ow), dtype=np.result_type(kd, xd))
+    for i0, i1 in _blocks(oh, n_blocks, ow):
+        np.matmul(kmat, unfold(xd[:, i0:i1 + kh - 1]), out=out[:, i0 * ow:i1 * ow])
+    out = out.reshape(c_out, oh, ow)
     if b is not None:
         out += b.data[:, None, None]  # the GEMM result is fresh and unshared
+    x_tracked = _needs_grad(x)
 
     def bwd(g):
         gm = g.reshape(c_out, oh * ow)
-        gk = (gm @ unfold().T).reshape(k.shape)
+        gk = np.empty((c_out, c_in * kh * kw), dtype=np.result_type(gm, xd))
+        for c0, c1 in _blocks(c_in, n_blocks, kh * kw):
+            np.matmul(gm, unfold(xd[c0:c1]).T, out=gk[:, c0 * kh * kw:c1 * kh * kw])
+        gk = gk.reshape(kd.shape)
         gx = None
-        if _needs_grad(x):
+        if x_tracked:
             # g on rows of width w, zero past ow, so tap (di, dj) of every
             # output lands at flat offset di*w + dj of a contiguous slice
             ge = np.zeros((c_out, oh, w), dtype=g.dtype)
@@ -485,7 +571,7 @@ def conv2d(x, kernels, bias=None) -> Tensor:
             ge = ge.reshape(c_out, oh * w)
             flat = np.zeros((c_in, h * w + kw - 1), dtype=g.dtype)
             for di in range(kh):
-                gview = (k.data[:, :, di].reshape(c_out, c_in * kw).T @ ge).reshape(c_in, kw, -1)
+                gview = (kd[:, :, di].reshape(c_out, c_in * kw).T @ ge).reshape(c_in, kw, -1)
                 for dj in range(kw):
                     flat[:, di * w + dj:di * w + dj + oh * w] += gview[:, dj]
             gx = flat[:, :h * w].reshape(c_in, h, w)
@@ -502,13 +588,15 @@ def maxpool_last(x, pool: int) -> Tensor:
 
     Forward is a running ``np.maximum`` over the ``pool`` strided slices of
     each block, so a NaN anywhere in a block pools to NaN.  Backward sends
-    the gradient to each block's first maximum, as ``argmax`` would; it
-    rebuilds that index as the count of leading entries that differ from
-    the pooled value, so the tape keeps only ``x`` and the output.  A block
-    of ``+0.0`` and ``-0.0`` may pool to a later zero's sign (they compare
-    equal, so the routing holds, and ReLU maps both to ``+0.0``).  A NaN
-    block routes to its last entry, not its first NaN; the ReLU after each
-    pool in the model passes a zero gradient there, so nothing changes.
+    the gradient to each block's first maximum, as ``argmax`` would.  When
+    the call is tracked, forward counts that position as the number of
+    leading entries that differ from the pooled value, in the smallest
+    unsigned dtype that holds ``pool - 1`` (one byte for any model pool),
+    and the tape keeps only that count: neither ``x`` nor the output.  A
+    block of ``+0.0`` and ``-0.0`` may pool to a later zero's sign (they
+    compare equal, so the routing holds, and ReLU maps both to ``+0.0``).
+    A NaN block routes to its last entry, not its first NaN; the ReLU after
+    each pool in the model passes a zero gradient there, so nothing changes.
     """
     x = _as_tensor(x)
     p = int(pool)
@@ -520,15 +608,20 @@ def maxpool_last(x, pool: int) -> Tensor:
     for j in range(1, p):
         np.maximum(data, blocks[..., j], out=data)
 
-    def bwd(g):
-        blocks = x.data.reshape(data.shape + (p,))
-        first = np.arange(0, x.size, p).reshape(data.shape)
+    bwd = None
+    if _tracked(x):
+        position = np.zeros(data.shape, dtype=np.min_scalar_type(p - 1))
         before = np.ones(data.shape, dtype=bool)
         for j in range(p - 1):
             before &= blocks[..., j] != data
-            first += before
-        gb = np.zeros(x.size, dtype=x.data.dtype)
-        gb[first.ravel()] = g.ravel()
-        return (gb.reshape(x.shape),)
+            position += before
+        x_shape, x_size, dtype = x.shape, x.size, x.dtype
+
+        def bwd(g):
+            first = np.arange(0, x_size, p).reshape(position.shape)
+            first += position
+            gb = np.zeros(x_size, dtype=dtype)
+            gb[first.ravel()] = g.ravel()
+            return (gb.reshape(x_shape),)
 
     return _result(data, (x,), bwd)

@@ -47,6 +47,22 @@ def maxpool_oracle(x: np.ndarray, pool: int, g: np.ndarray):
     return np.take_along_axis(blocks, idx, axis=-1)[..., 0], gx.reshape(x.shape)
 
 
+def _unfold(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """The whole channel-major im2col column matrix of x."""
+    c_in, h, w = x.shape
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
+    return win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, (h - kh + 1) * (w - kw + 1))
+
+
+def conv2d_one_gemm(x: np.ndarray, k: np.ndarray, g: np.ndarray):
+    """conv2d(x, k) and the kernel gradient of sum(g * conv2d(x, k)), each
+    one GEMM over the whole column matrix."""
+    c_out, _, kh, kw = k.shape
+    cols = _unfold(x, kh, kw)
+    out = (k.reshape(c_out, -1) @ cols).reshape(g.shape)
+    return out, (g.reshape(c_out, -1) @ cols.T).reshape(k.shape)
+
+
 def conv2d_strided_col2im(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     """Input and kernel gradients of sum(g * conv2d(x, k)) through the full
     column matrix: ``gk`` from the unfolded input, ``gx`` gathered from the
@@ -54,10 +70,8 @@ def conv2d_strided_col2im(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     c_in, h, w = x.shape
     c_out, _, kh, kw = k.shape
     oh, ow = h - kh + 1, w - kw + 1
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(1, 2))
-    cols = win.transpose(0, 3, 4, 1, 2).reshape(c_in * kh * kw, oh * ow)
     gm = g.reshape(c_out, oh * ow)
-    gk = (gm @ cols.T).reshape(k.shape)
+    gk = (gm @ _unfold(x, kh, kw).T).reshape(k.shape)
     gview = (k.reshape(c_out, -1).T @ gm).reshape(c_in, kh, kw, oh, ow)
     gx = np.zeros((c_in, h, w), dtype=g.dtype)
     for di in range(kh):

@@ -11,11 +11,14 @@ import pytest
 
 import polysed
 from polysed import dataio, pipeline
-from polysed.capsnet import CapsNetConfig
+from polysed import tensor as T
+from polysed.capsnet import CapsNetConfig, CapsNetModel, detection_loss
 from polysed.cli import main
 from polysed.config import DatasetConfig, FusionConfig, TrainConfig, load_config
 from polysed.dataio import ClassSpec, SynthSpec
 from polysed.errors import ConfigError
+from polysed.optim import AdaDeltaState, adadelta_step
+from polysed.rng import stream
 
 TINY_CFG = """\
 # tiny end-to-end experiment
@@ -101,6 +104,11 @@ def test_end_to_end_prints_three_ers(ran_pipeline, capsys):
     assert [s["kind"] for s in results["systems"]] == ["single", "single", "fused"]
 
 
+def _digests(root):
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file()}
+
+
 def test_seeded_rerun_writes_identical_files(ran_pipeline, tmp_path):
     """The whole chain, binary containers included, reruns to the same bytes."""
     cfg_path, out = ran_pipeline
@@ -108,13 +116,65 @@ def test_seeded_rerun_writes_identical_files(ran_pipeline, tmp_path):
     for argv in CHAIN:
         assert _run(cfg_path, again, *argv) == 0
 
-    def digests(root):
-        return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in root.rglob("*") if p.is_file()}
-
-    first = digests(out)
+    first = _digests(out)
     assert len(first) == 46
-    assert digests(again) == first
+    assert _digests(again) == first
+
+
+def _write_blas_outputs(cfg_path, out):
+    """What the BLAS-thread test compares, written under `out`: the CLI
+    chain on `cfg_path`, one 8-window training step of the desk model at
+    128 bins (f32), and conv2d forward and backward at home_config's
+    layer 1 (f64) for 96 and 240 bins, whose columns are unfolded in 4 and
+    9 blocks."""
+    out = Path(out)
+    for argv in CHAIN:
+        assert _run(cfg_path, out / "chain", *argv) == 0
+    cfg = CapsNetConfig(cnn_kernels=(8, 8), cnn_kernel_dim=3, pool_dims=(4, 4),
+                        n_primary_caps=4, primary_cap_dim=4, output_cap_dim=4,
+                        routing_iters=3, n_events=3, dropout_rate=0.1)
+    model = CapsNetModel.build(cfg, 128, 2, stream(5), dtype=np.float32)
+    rng = np.random.default_rng(6)
+    target = (rng.uniform(size=(8, 256, 3)) < 0.3).astype(np.uint8)
+    loss = detection_loss(
+        model.forward(rng.normal(size=(8, 256, 128, 2)), train_mode=True, rng=stream(7)),
+        target, mask=np.ones((8, 256)), params=model.parameters, l2_weight=cfg.l2_weight)
+    step = adadelta_step(model.parameters, T.gradients(loss, model.parameters), AdaDeltaState())
+    arrays = {f"step_{name}": p.data for name, p in step.items()}
+    for width in (29, 65):
+        x = T.Tensor(rng.normal(size=(32, 261, width)), requires_grad=True)
+        k = T.Tensor(rng.normal(size=(32, 32, 6, 6)), requires_grad=True)
+        conv = T.conv2d(x, k)
+        grads = T.gradients(T.tsum(T.mul(conv, T.Tensor(rng.normal(size=conv.shape)))),
+                            {"x": x, "k": k})
+        arrays.update({f"conv{width}": conv.data, f"conv{width}_gx": grads["x"],
+                       f"conv{width}_gk": grads["k"]})
+    for name, arr in arrays.items():
+        np.save(out / f"{name}.npy", arr)
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path):
+    """The seeded-rerun identity holds across OpenBLAS thread counts, on
+    GEMMs large enough to run threaded: the same bytes under one thread and
+    under two, for the chain, a desk training step and a blocked conv."""
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text(TINY_CFG)
+    paths = [str(Path(polysed.__file__).resolve().parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    code = "import sys, test_cli; test_cli._write_blas_outputs(*sys.argv[1:])"
+    procs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        procs[threads] = subprocess.Popen(
+            [sys.executable, "-c", code, str(cfg_path), str(tmp_path / threads)],
+            env=env, stderr=subprocess.PIPE, text=True)
+    for proc in procs.values():
+        stderr = proc.communicate(timeout=120)[1]
+        assert proc.returncode == 0, stderr
+    one, two = _digests(tmp_path / "1"), _digests(tmp_path / "2")
+    assert len(one) == 46 + 7 + 6  # the chain, the step's parameters, the convs
+    assert one == two
 
 
 def test_report_matches_recomputation(ran_pipeline, capsys):

@@ -1,9 +1,11 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import conv2d_strided_col2im, finite_diff_grad, max_rel_err, maxpool_oracle
+from helpers import (conv2d_one_gemm, conv2d_strided_col2im, finite_diff_grad, max_rel_err,
+                     maxpool_oracle)
 
 from polysed import tensor as T
 from polysed.errors import NumericError, ShapeError
@@ -258,6 +260,72 @@ def test_conv2d_backward_peak_memory_at_paper_layer_1():
     assert peak < 70e6
 
 
+@pytest.mark.parametrize("x_shape, k_shape", [
+    ((32, 261, 29), (32, 32, 6, 6)),      # home_config layer 1, 96 bins: 4 blocks
+    ((32, 261, 65), (32, 32, 6, 6)),      # 240 bins: 9 blocks of 28 or 30 rows
+    ((2, 261, 245), (32, 2, 6, 6)),       # 240 bins, layer 0: more blocks than channels
+])
+def test_conv2d_blocks_keep_the_one_gemm_bits(x_shape, k_shape):
+    """Columns unfolded in blocks of output rows (forward) and of input
+    channels (kernel gradient) give the one-GEMM output and kernel gradient
+    byte for byte, block edges that are not a multiple of 8 GEMM columns
+    (a 60-wide output row) included."""
+    rng = np.random.default_rng(43)
+    x0, k0 = rng.normal(size=x_shape), rng.normal(size=k_shape)
+    out = T.conv2d(Tensor(x0), Tensor(k0, requires_grad=True))
+    g0 = rng.normal(size=out.shape)
+    ref_out, ref_gk = conv2d_one_gemm(x0, k0, g0)
+    assert out.numpy().tobytes() == ref_out.tobytes()
+    assert out._bwd(g0)[1].tobytes() == ref_gk.tobytes()
+
+
+def test_conv2d_blocks_keep_paper_layer_1_memory_small():
+    """home_config's second conv (f64) unfolds 56.6 MB of columns, so
+    forward runs in 4 blocks of output rows and the kernel gradient in 4
+    blocks of input channels: each pass stays far below the full columns."""
+    rng = np.random.default_rng(37)
+    x = Tensor(rng.normal(size=(32, 261, 29)), requires_grad=True)
+    k = Tensor(rng.normal(size=(32, 32, 6, 6)), requires_grad=True)
+    g = rng.normal(size=(32, 256, 24))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = T.conv2d(x, k)
+        forward_peak = tracemalloc.get_traced_memory()[1] - before
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out._bwd(g)
+        backward_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert forward_peak < 20e6
+    assert backward_peak < 35e6
+
+
+@pytest.mark.parametrize("x_shape, k_shape, dtype, blocks", [
+    ((2, 258, 66), (8, 2, 3, 3), np.float32, 1),       # desk logmel_64, layer 0
+    ((8, 258, 34), (8, 8, 3, 3), np.float32, 1),       # desk logmel_128, layer 1
+    ((32, 261, 29), (32, 32, 6, 6), np.float64, 4),    # home_config layer 1
+])
+def test_conv2d_unfolds_once_per_column_block(monkeypatch, x_shape, k_shape, dtype, blocks):
+    """Columns under COLUMN_BLOCK_BYTES are unfolded once, for one GEMM, in
+    forward and again in backward; larger ones once per block."""
+    calls = []
+    view = np.lib.stride_tricks.sliding_window_view
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return view(*args, **kwargs)
+
+    monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", counting)
+    rng = np.random.default_rng(41)
+    out = T.conv2d(Tensor(rng.normal(size=x_shape).astype(dtype)),
+                   Tensor(rng.normal(size=k_shape).astype(dtype), requires_grad=True))
+    assert len(calls) == blocks
+    out._bwd(np.ones(out.shape, dtype=dtype))
+    assert len(calls) == 2 * blocks
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_relu_commutes_with_maxpool(dtype):
     """relu(maxpool(x)) and maxpool(relu(x)) agree on values and input
@@ -363,17 +431,49 @@ def test_maxpool_propagates_nan(position):
     np.testing.assert_array_equal(grad, maxpool_oracle(x0, 4, g0 * (ref_out > 0))[1])
 
 
-def test_maxpool_tape_holds_only_input_and_output():
-    """Backward keeps no index array: every array its closure holds is a
-    view of the input or of the pooled output."""
+def test_maxpool_tape_holds_one_byte_positions():
+    """Backward keeps neither the input nor a tensor: the one array its
+    closure holds is each block's first-maximum position, one byte per
+    pooled value."""
     x = Tensor(np.random.default_rng(3).normal(size=(2, 3, 12)), requires_grad=True)
     out = T.maxpool_last(x, 4)
     held = [cell.cell_contents for cell in out._bwd.__closure__]
-    arrays = [v.data if isinstance(v, Tensor) else v for v in held
-              if isinstance(v, (Tensor, np.ndarray))]
-    assert arrays
-    for arr in arrays:
-        assert np.shares_memory(arr, x.data) or np.shares_memory(arr, out.data)
+    assert not any(isinstance(v, Tensor) for v in held)
+    arrays = [v for v in held if isinstance(v, np.ndarray)]
+    assert len(arrays) == 1
+    (position,) = arrays
+    assert not np.shares_memory(position, x.data)
+    assert position.dtype.kind == "u" and position.itemsize == 1
+    assert position.size == out.size
+
+
+def _product_under_tsum(p):
+    h = T.mul(p, T.square(p))
+    return h, T.tsum(h), 3.0 * p.data ** 2
+
+
+def _reshape_source(p):
+    h = T.mul(p, 3.0)
+    return h, T.tsum(T.reshape(h, (-1,))), np.full(p.shape, 3.0)
+
+
+def _operand_of_a_masked_mul(p):
+    mask = (np.arange(p.size).reshape(p.shape) % 3 != 0).astype(p.dtype)
+    h = T.square(p)
+    return h, T.tsum(T.mul(h, Tensor(mask))), 2.0 * p.data * mask
+
+
+@pytest.mark.parametrize("build", [_product_under_tsum, _reshape_source,
+                                   _operand_of_a_masked_mul])
+def test_tape_frees_what_no_rule_reads(build):
+    """An intermediate whose array no backward rule reads dies as soon as
+    the caller drops it, and the gradients are still right."""
+    p = Tensor(np.random.default_rng(31).normal(size=(3, 4)), requires_grad=True)
+    h, loss, expected = build(p)
+    dropped = weakref.ref(h.data)
+    del h
+    assert dropped() is None
+    np.testing.assert_allclose(gradients(loss, {"p": p})["p"], expected, rtol=1e-14)
 
 
 def test_no_grad_suppresses_tape():
