@@ -213,9 +213,8 @@ class CapsNetModel:
             # while the ReLU touches 1/pool of the elements
             x = T.relu(T.maxpool_last(x, pool))
             if train_mode and cfg.dropout_rate > 0.0:
-                keep = 1.0 - cfg.dropout_rate
-                mask = (rng.uniform(size=x.shape) >= cfg.dropout_rate).astype(self.dtype) / keep
-                x = T.mul(x, Tensor(mask))
+                x = T.dropout(x, rng.uniform(size=x.shape) >= cfg.dropout_rate,
+                              1.0 - cfg.dropout_rate)
         return x
 
     def forward(self, window_values: np.ndarray, train_mode: bool = False,

@@ -202,7 +202,8 @@ def _release_free_heap() -> None:
     ``malloc_trim``; a no-op where the C library has none).
 
     Training allocates and frees tens of MB per step: the arrays the
-    tape's backward rules read, then the gradients.  glibc keeps
+    tape's backward rules read, freed rule by rule as backward runs, and
+    the gradients.  glibc keeps
     freed pages mapped, and how many it keeps depends on where earlier
     blocks landed, which extract's worker threads make vary from run to
     run, so without this the resident size of training and of every stage

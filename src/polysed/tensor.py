@@ -7,16 +7,18 @@ an input participates in differentiation, the result gets a tape node that
 records its parents' nodes and a backward rule, so the nodes form the tape
 that :func:`gradients` replays in reverse topological order.  :func:`gradients`
 is the only way to backpropagate: it returns the adjoints of a scalar loss
-for named parameters and stores nothing on the tensors.  It computes no
-adjoint for an untracked input, one that neither requires a gradient nor
-was produced on the tape (a dropout mask, a target, a loss mask, the input
+for named parameters, and consumes the tape as it goes: each node's rule
+is dropped once it has run, so a loss can be backpropagated once.  It
+computes no adjoint for an untracked input, one that neither requires a
+gradient nor was produced on the tape (a target, a loss mask, the input
 window): it has no node, and `conv2d` skips the GEMM.
 
 The tape keeps only what backward reads.  A node holds no tensor, so an
 op result lives only as long as the caller holds it or a backward rule
 reads its array: a rule keeps arrays and shapes, and only those its
-gradients need (``tsum`` keeps a shape, ``mul`` by an untracked mask keeps
-the mask, ``maxpool_last`` a one-byte position per block).
+gradients need (``tsum`` keeps a shape, ``mul`` by an untracked operand
+keeps that operand, ``dropout`` one byte per entry, ``maxpool_last`` a
+one-byte position per block).
 
 Tensors are treated as immutable values: no operation writes into an
 existing array, which makes them safe to share between model instances.
@@ -203,6 +205,10 @@ def _topo_order(root: Tensor) -> list[_Node]:
     return order
 
 
+def _consumed(g):
+    raise RuntimeError("tape already consumed by gradients()")
+
+
 def _run_backward(loss: Tensor) -> dict[int, np.ndarray]:
     """Adjoints of `loss`, keyed by the id of each reached leaf's node."""
     if loss.shape != ():
@@ -217,6 +223,7 @@ def _run_backward(loss: Tensor) -> dict[int, np.ndarray]:
         if g is None or node._bwd is None:
             continue
         parent_grads = node._bwd(g)
+        node._bwd = _consumed  # frees the arrays the rule read
         for parent, pg in zip(node._parents, parent_grads):
             if pg is None or parent is None:
                 continue
@@ -231,7 +238,11 @@ def gradients(loss: Tensor, params: Mapping[str, Tensor]) -> dict[str, np.ndarra
     """Exact adjoints of `loss` for every named parameter.
 
     Parameters that the loss does not reach get a zero gradient and a
-    warning, since that usually indicates a wiring mistake.
+    warning, since that usually indicates a wiring mistake.  Once a node's
+    backward rule has run it is replaced by one that raises, so the arrays
+    it read are freed while backward goes on, even though the caller still
+    holds `loss`; a second call on the same loss raises ``RuntimeError``.
+    Leaves keep no rule, so the parameters serve the next graph.
     """
     grads = _run_backward(loss)
     out: dict[str, np.ndarray] = {}
@@ -336,6 +347,18 @@ def clip(a, lo: float, hi: float) -> Tensor:
     a = _as_tensor(a)
     inside = (a.data > lo) & (a.data < hi)
     return _result(np.clip(a.data, lo, hi), (a,), lambda g: (g * inside,))
+
+
+def dropout(a, keep: np.ndarray, scale: float) -> Tensor:
+    """``a`` times the mask ``keep / scale`` for a boolean `keep` of `a`'s
+    shape.  The tape keeps `keep` (one byte per entry) and rebuilds the
+    mask in backward, so both passes have the bits of ``mul`` by the mask."""
+    a = _as_tensor(a)
+    if keep.shape != a.shape:
+        raise ShapeError(f"dropout: keep shape {keep.shape} != input shape {a.shape}")
+    dtype = a.dtype
+    return _result(a.data * (keep.astype(dtype) / scale), (a,),
+                   lambda g: (g * (keep.astype(dtype) / scale),))
 
 
 # -- reductions ---------------------------------------------------------------
@@ -523,7 +546,8 @@ def conv2d(x, kernels, bias=None) -> Tensor:
     the output gradient laid on rows of width ``w`` (zero past ``ow``),
     each kernel row ``di`` is one GEMM and each tap one contiguous slice
     add, and the column gradient is built one kernel row (``1/kh`` of it)
-    at a time.  It is skipped when ``x`` is not tracked.
+    at a time, into one buffer reused for every row.  It is skipped when
+    ``x`` is not tracked.
     """
     x = _as_tensor(x)
     k = _as_tensor(kernels, like=x)
@@ -570,8 +594,10 @@ def conv2d(x, kernels, bias=None) -> Tensor:
             ge[:, :, :ow] = g
             ge = ge.reshape(c_out, oh * w)
             flat = np.zeros((c_in, h * w + kw - 1), dtype=g.dtype)
+            buf = np.empty((c_in * kw, oh * w), dtype=np.result_type(kd, g))
+            gview = buf.reshape(c_in, kw, -1)
             for di in range(kh):
-                gview = (kd[:, :, di].reshape(c_out, c_in * kw).T @ ge).reshape(c_in, kw, -1)
+                np.matmul(kd[:, :, di].reshape(c_out, c_in * kw).T, ge, out=buf)
                 for dj in range(kw):
                     flat[:, di * w + dj:di * w + dj + oh * w] += gview[:, dj]
             gx = flat[:, :h * w].reshape(c_in, h, w)

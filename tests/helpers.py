@@ -1,7 +1,23 @@
-"""Shared test oracles, kept deliberately independent of the library code."""
+"""Shared test oracles, kept deliberately independent of the library code,
+and a memory probe."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+
+
+def traced_memory(fn):
+    """Run ``fn()`` under tracemalloc: its result, the bytes it left
+    allocated, and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - before, peak - before
 
 
 def finite_diff_grad(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -1,9 +1,7 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, max_rel_err
+from helpers import finite_diff_grad, max_rel_err, traced_memory
 
 from polysed import capsnet
 from polysed import tensor as T
@@ -126,42 +124,36 @@ def test_train_forward_keeps_conv_inputs_not_columns():
     rng = np.random.default_rng(5)
     win = rng.normal(size=(256, 96, 2))
     target = (rng.uniform(size=(256, 3)) < 0.3).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loss = detection_loss(model.forward(win, train_mode=True, rng=stream(1)),
-                              target, mask=np.ones(256))
-        kept = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    loss, kept, _ = traced_memory(lambda: detection_loss(
+        model.forward(win, train_mode=True, rng=stream(1)), target, mask=np.ones(256)))
     assert np.isfinite(loss.item())
     assert kept < 40e6
 
 
 def test_train_step_tape_keeps_only_what_backward_reads():
     """An 8-window home_config step (96 bins, f64): after forward and loss
-    the tape keeps the arrays its backward rules read (conv inputs, masks,
-    pooling positions, capsule-head operands), not every op result, and
-    backward adds its gradients on top of that.  Keeping every op result
-    held about 200 MB after the loss and peaked near 260 MB."""
+    the tape keeps the arrays its backward rules read (conv inputs, one-byte
+    dropout masks, pooling positions, capsule-head operands), not every op
+    result, and backward frees each rule's arrays as it passes it while it
+    adds the gradients.  Keeping every op result held about 200 MB after
+    the loss and peaked near 260 MB; f64 dropout masks and a tape held
+    through backward kept 60 MB and peaked at 90 MB."""
     model = CapsNetModel.build(home_config(3), freq_bins=96, channels=2, rng=stream(0))
     rng = np.random.default_rng(8)
     windows = rng.normal(size=(8, 256, 96, 2))
     target = (rng.uniform(size=(8, 256, 3)) < 0.3).astype(np.uint8)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        loss = detection_loss(model.forward(windows, train_mode=True, rng=stream(1)), target,
+
+    def loss():
+        return detection_loss(model.forward(windows, train_mode=True, rng=stream(1)), target,
                               mask=np.ones((8, 256)), params=model.parameters,
                               l2_weight=model.config.l2_weight)
-        kept = tracemalloc.get_traced_memory()[0] - before
-        grads = gradients(loss, model.parameters)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
+
+    _, kept, _ = traced_memory(loss)
+    # the caller holds the loss through backward, as train() does
+    grads, _, peak = traced_memory(lambda: gradients(loss(), model.parameters))
     assert all(np.isfinite(g).all() for g in grads.values())
-    assert kept < 80e6
-    assert peak < 120e6
+    assert kept < 55e6
+    assert peak < 75e6
 
 
 # -- one head pass per stack of windows -------------------------------------------------
