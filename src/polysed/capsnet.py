@@ -123,10 +123,11 @@ def dynamic_routing(u_hat: Tensor, iters: int, return_couplings: bool = False):
 
     u_hat holds one predicted vector per (input capsule, output capsule)
     pair, shaped (..., n_in, n_out, dim).  Logits start at zero, so the
-    first pass weighs every input uniformly; each iteration re-normalizes
-    the logits over output capsules, forms the weighted sum, squashes it,
-    and reinforces logits by the scalar agreement between prediction and
-    output.  Returns the final output capsules (..., n_out, dim).
+    first pass weighs every input uniformly; each later one first adds the
+    scalar agreement between prediction and previous output to the logits
+    (r iterations make r - 1 logit updates).  Each iteration re-normalizes
+    the logits over output capsules, forms the weighted sum and squashes
+    it.  Returns the final output capsules (..., n_out, dim).
     """
     if iters < 1:
         raise ConfigError("routing needs at least one iteration")
@@ -134,15 +135,13 @@ def dynamic_routing(u_hat: Tensor, iters: int, return_couplings: bool = False):
         raise ShapeError(f"routing input must be (..., n_in, n_out, dim), got {u_hat.shape}")
     logits = Tensor(np.zeros(u_hat.shape[:-1], dtype=u_hat.dtype.type))
     couplings = []
-    v = None
-    for _ in range(iters):
+    for i in range(iters):
+        if i:
+            logits = T.add(logits, T.tsum(T.mul(u_hat, T.unsqueeze(v, -3)), axis=-1))
         c = T.softmax(logits, axis=-1)
         if return_couplings:
             couplings.append(c.numpy().copy())
-        s = T.tsum(T.mul(T.unsqueeze(c, -1), u_hat), axis=-3)
-        v = squash(s)
-        agreement = T.tsum(T.mul(u_hat, T.unsqueeze(v, -3)), axis=-1)
-        logits = T.add(logits, agreement)
+        v = squash(T.tsum(T.mul(T.unsqueeze(c, -1), u_hat), axis=-3))
     if return_couplings:
         return v, couplings
     return v
@@ -279,9 +278,9 @@ def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = N
 
     `pred` is one window (frames, n_events) with a mask of (frames,), or a
     stack (N, frames, n_events) with a mask of (N, frames); a stack scores
-    the mean over windows of each window's masked mean.  Predictions are
-    clamped to (1e-7, 1 - 1e-7) before the logs, so a perfect prediction
-    scores ~1e-7 per cell rather than 0.
+    the mean over windows of each window's masked mean; no mask counts
+    every frame.  Predictions are clamped to (1e-7, 1 - 1e-7) before the
+    logs, so a perfect prediction scores ~1e-7 per cell rather than 0.
     """
     target = np.asarray(target)
     if target.shape != pred.shape:
@@ -292,20 +291,14 @@ def detection_loss(pred: Tensor, target: np.ndarray, mask: np.ndarray | None = N
     p = T.clip(pred, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     nll = T.neg(T.add(T.mul(Tensor(y), T.log(p)),
                       T.mul(Tensor(1.0 - y), T.log(T.sub(1.0, p)))))
-    if mask is None:
-        loss = T.div(T.tsum(nll), float(pred.size))
-    else:
-        mask = np.asarray(mask).astype(pred.dtype.type)
-        if mask.shape != pred.shape[:-1]:
-            raise ShapeError(f"mask shape {mask.shape} != {pred.shape[:-1]}")
-        nll = T.mul(nll, Tensor(mask[..., None]))
-        denom = mask.sum(axis=-1) * pred.shape[-1]
-        if not denom.all():
-            raise DataError("mask excludes every frame" + (" of a window" if denom.ndim else ""))
-        if denom.ndim:
-            loss = T.div(T.tsum(T.div(T.tsum(nll, axis=(1, 2)), denom)), float(len(denom)))
-        else:
-            loss = T.div(T.tsum(nll), float(denom))
+    mask = (np.ones(pred.shape[:-1]) if mask is None else np.asarray(mask)).astype(pred.dtype)
+    if mask.shape != pred.shape[:-1]:
+        raise ShapeError(f"mask shape {mask.shape} != {pred.shape[:-1]}")
+    denom = mask.sum(axis=-1) * pred.shape[-1]
+    if not denom.all():
+        raise DataError("mask excludes every frame" + (" of a window" if denom.ndim else ""))
+    nll = T.mul(nll, Tensor(mask[..., None]))
+    loss = T.div(T.tsum(T.div(T.tsum(nll, axis=(-2, -1)), denom)), float(denom.size))
     if l2_weight and params:
         loss = T.add(loss, T.mul(_l2_term(params), l2_weight))
     return loss
@@ -407,9 +400,8 @@ def train(model: CapsNetModel, train_windows: list[WindowExample],
         val_er = _validation_error_rate(model, val_windows, hop_seconds, labels, batch_size)
         result.history.append({"epoch": epoch, "train_loss": epoch_loss / n_batches,
                                "val_er": val_er})
-        improved = val_er < stopper.best_er
         stop = stopper.update(epoch, val_er)
-        if improved:
+        if stopper.best_epoch == epoch:
             result.parameters = dict(model.parameters)
         result.stopped_epoch = epoch
         if stop:

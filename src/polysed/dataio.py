@@ -25,8 +25,11 @@ Formats (all little-endian, all round-trip exactly as documented):
 
 Every reader goes through :func:`read_file` and checks each size and offset
 against its header, so a missing, truncated or corrupt artifact raises
-:class:`DataError` naming the path.  Every writer goes through
-:func:`write_file`, so a killed process never leaves a half-written file.
+:class:`DataError` naming the path.  So do NaN or Inf in a .tfr or .ckpt, a
+.pred score outside [0, 1] (a NaN score reads; fusion calls it a numeric
+error) and a fusion weight that is not positive and finite.  Every writer
+goes through :func:`write_file`, so a killed process never leaves a
+half-written file.
 """
 from __future__ import annotations
 
@@ -532,6 +535,8 @@ def _checkpoint_from(header: dict, arrays: dict) -> tuple[CapsNetModel, dict]:
         if want.get(name) != got.get(name):
             raise DataError(f"parameter {name!r} is {got.get(name, 'missing')}, but the header "
                             f"builds {want.get(name, 'no such parameter')}")
+        if not np.isfinite(arrays[name]).all():
+            raise DataError(f"parameter {name!r} is not all finite")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()}
     return CapsNetModel(config, *geometry, params, dtype=dtype), header
 
@@ -554,6 +559,8 @@ def _predictions_from(header: dict, arrays: dict) -> tuple[np.ndarray, float, li
         raise DataError("labels are not a list of strings")
     if scores.ndim != 2 or scores.shape[1] != len(labels):
         raise DataError(f"prediction matrix of shape {scores.shape} does not fit {len(labels)} labels")
+    if np.any((scores < 0) | (scores > 1)):  # a NaN passes here; PredictionSet refuses it
+        raise DataError("scores outside [0, 1]")
     return scores, hop, labels
 
 

@@ -114,15 +114,15 @@ class FusionParams:
         self.weights = np.asarray(self.weights, dtype=np.float64)
         self.biases = np.asarray(self.biases, dtype=np.float64)
         self.thresholds = np.asarray(self.thresholds, dtype=np.float64)
-        if np.any(self.weights <= 0):
-            raise DataError("fusion weights must be positive")
+        if not np.all(np.isfinite(self.weights) & (self.weights > 0)):
+            raise DataError("fusion weights must be positive and finite")
         _check_ranges(self.biases, self.thresholds)
 
 
 def _check_ranges(biases: np.ndarray, thresholds: np.ndarray) -> None:
-    if np.any((biases < -1) | (biases > 1)):
+    if not np.all((biases >= -1) & (biases <= 1)):
         raise DataError("biases must lie in [-1, 1]")
-    if np.any((thresholds < 0) | (thresholds > 1)):
+    if not np.all((thresholds >= 0) & (thresholds <= 1)):
         raise DataError("thresholds must lie in [0, 1]")
 
 
@@ -141,8 +141,6 @@ def _normalized(weights: np.ndarray, m: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (m,):
         raise ShapeError(f"{w.size} weights for {m} prediction matrices")
-    if np.any(w <= 0):
-        raise DataError("fusion weights must be positive")
     return w / w.sum()  # normalizing first keeps m=1 an exact identity
 
 

@@ -124,9 +124,7 @@ def _write_clip(out, split, clip_id, clip, ann):
 def run_extract(cfg: ExperimentConfig, tfr_name: str, out: Path, jobs: int = 1) -> int:
     """Feature archives for every clip of every split."""
     out = Path(out)
-    if tfr_name not in cfg.models:
-        raise ConfigError(f"no [model {tfr_name}] section in the config")
-    tfr_cfg = dsp.parse_tfr_name(tfr_name)
+    tfr_cfg = _model_and_tfr(cfg, tfr_name)[1]
 
     def one(row):
         clip_id, split = row
@@ -144,6 +142,12 @@ def run_extract(cfg: ExperimentConfig, tfr_name: str, out: Path, jobs: int = 1) 
 # ---------------------------------------------------------------------------
 # shared loading
 # ---------------------------------------------------------------------------
+
+def _model_and_tfr(cfg: ExperimentConfig, tfr_name: str):
+    if tfr_name not in cfg.models:
+        raise ConfigError(f"no [model {tfr_name}] section in the config")
+    return cfg.models[tfr_name], dsp.parse_tfr_name(tfr_name)
+
 
 def _clip_roll(cfg: ExperimentConfig, out: Path, split: str, clip_id: str,
                n_frames: int) -> EventRoll:
@@ -220,9 +224,7 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     """Train one detector; returns a summary of the run.  Free heap pages
     are returned to the OS before and after training."""
     out = Path(out)
-    if tfr_name not in cfg.models:
-        raise ConfigError(f"no [model {tfr_name}] section in the config")
-    tfr_cfg = dsp.parse_tfr_name(tfr_name)
+    model_cfg, tfr_cfg = _model_and_tfr(cfg, tfr_name)
     dtype = np.float64 if cfg.train.precision == "f64" else np.float32
 
     ckpt = _ckpt_path(out, tfr_name)
@@ -233,7 +235,7 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
         train_windows = _load_window_examples(cfg, tfr_name, out, "train")
         val_windows = _load_window_examples(cfg, tfr_name, out, "val")
         model = CapsNetModel.build(
-            cfg.models[tfr_name], tfr_cfg.freq_bins, 2,
+            model_cfg, tfr_cfg.freq_bins, 2,
             rng=stream(cfg.seed, f"init:{tfr_name}"), dtype=dtype)
         _release_free_heap()
         result = train(
@@ -263,6 +265,7 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     order as in the manifest; each clip's windows are predicted in stacks
     of at most `[train] batch_size`."""
     out = Path(out)
+    _model_and_tfr(cfg, tfr_name)
     ckpt = _ckpt_path(out, tfr_name)
     if not ckpt.exists():
         raise DataError(f"{ckpt} not found; run train first")

@@ -96,6 +96,25 @@ def conv2d_strided_col2im(x: np.ndarray, k: np.ndarray, g: np.ndarray):
     return gx, gk
 
 
+def routing_oracle(u_hat, iters: int):
+    """Routing by agreement with a logit update at the end of every
+    iteration, the last one's included although nothing reads it: the
+    output capsules and each iteration's couplings."""
+    from polysed import tensor as T
+    from polysed.capsnet import squash
+
+    logits = T.Tensor(np.zeros(u_hat.shape[:-1], dtype=u_hat.dtype.type))
+    couplings = []
+    for _ in range(iters):
+        c = T.softmax(logits, axis=-1)
+        couplings.append(c.numpy().copy())
+        s = T.tsum(T.mul(T.unsqueeze(c, -1), u_hat), axis=-3)
+        v = squash(s)
+        agreement = T.tsum(T.mul(u_hat, T.unsqueeze(v, -3)), axis=-1)
+        logits = T.add(logits, agreement)
+    return v, couplings
+
+
 def segment_counts_oracle(ref: np.ndarray, pred: np.ndarray, frames_per_seg: int):
     """Brute-force per-segment S/D/I/N by enumerating every (segment, event)."""
     t_total, n_events = ref.shape

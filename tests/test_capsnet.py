@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import finite_diff_grad, max_rel_err, traced_memory
+from helpers import finite_diff_grad, max_rel_err, routing_oracle, traced_memory
 
 from polysed import capsnet
 from polysed import tensor as T
@@ -93,6 +93,39 @@ def test_routing_degenerate_single_pair():
         v = dynamic_routing(u_hat, iters=iters).numpy()
         assert v.shape == (1, 3)
         np.testing.assert_allclose(v[0], squash(Tensor(u)).numpy(), atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("iters", [1, 2, 3, 4])
+def test_routing_is_bit_identical_to_the_oracle(iters, dtype):
+    """Dropping the last, unread logit update changes no bit of the output
+    capsules, the couplings or the gradient."""
+    u0 = (np.random.default_rng(60 + iters).normal(size=(64, 4, 3, 5)) * 0.7).astype(dtype)
+    got = []
+    for route in (lambda u: dynamic_routing(u, iters, return_couplings=True),
+                  lambda u: routing_oracle(u, iters)):
+        u = Tensor(u0, requires_grad=True)
+        v, couplings = route(u)
+        grad = gradients(T.tsum(T.norm(v, axis=-1)), {"u": u})["u"]
+        got.append([a.tobytes() for a in (v.numpy(), *couplings, grad)])
+    assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("iters", [1, 2, 3, 4])
+def test_routing_makes_one_agreement_product_per_logit_update(monkeypatch, iters):
+    """r iterations make r weighted sums c * u_hat and r - 1 agreements
+    u_hat * v: the logits after the last output would feed nothing."""
+    u_hat = Tensor(np.random.default_rng(8).normal(size=(6, 4, 3, 2)))
+    mul, operands = T.mul, []
+
+    def recording(a, b):
+        operands.append({np.shape(a), np.shape(b)})
+        return mul(a, b)
+
+    monkeypatch.setattr(T, "mul", recording)
+    dynamic_routing(u_hat, iters)
+    assert operands.count({(6, 4, 3, 2), (6, 4, 3, 1)}) == iters
+    assert operands.count({(6, 4, 3, 2), (6, 1, 3, 2)}) == iters - 1
 
 
 def test_routing_requires_iterations():

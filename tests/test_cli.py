@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -398,6 +399,23 @@ def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
         pred.write_bytes(before)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_eval_on_a_non_finite_fusion_weight_exits_2(ran_pipeline, capsys, bad):
+    """A NaN weight fails every comparison, so `w <= 0` passes it, and an
+    infinite one normalizes to NaN; either would score an all-inactive
+    fused roll."""
+    cfg_path, out = ran_pipeline
+    path = out / "fusion" / "fused.json"
+    before = path.read_bytes()
+    doc = json.loads(before)
+    doc["weights"][0] = bad
+    path.write_text(json.dumps(doc))
+    try:
+        _exits_2_naming(path, capsys, cfg_path, out, "eval")
+    finally:
+        path.write_bytes(before)
+
+
 def test_train_lock_blocks_second_job(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
     lock = out / "models" / "logmel_16.lock"
@@ -438,9 +456,29 @@ def test_train_lock_of_live_process_exits_2(ran_pipeline, capsys):
         lock.unlink()
 
 
-def test_unknown_tfr_exits_1(ran_pipeline):
+def test_unknown_tfr_exits_1(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
-    assert _run(cfg_path, out, "extract", "--tfr", "logmel_999") == 1
+    for command in ("extract", "train", "predict"):
+        assert _run(cfg_path, out, command, "--tfr", "logmel_999") == 1
+        assert capsys.readouterr().err == \
+            "polysed: error: config: no [model logmel_999] section in the config\n"
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    """numpy stays the package's one dependency."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "polysed"}
+    found = {}
+    for path in sorted(Path(polysed.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found.update({name.split(".")[0]: path.name for name in names})
+    assert "numpy" in found
+    assert {name: where for name, where in found.items() if name not in allowed} == {}
 
 
 def test_console_entry_point_runs():

@@ -418,6 +418,15 @@ def _tfr_value(value):
     return corrupt
 
 
+def _pred_score(value):
+    """Rewrite the prediction file at `path` with one score set to `value`."""
+    def corrupt(path):
+        scores, hop, labels = read_predictions(path)
+        scores[3, 1] = value
+        write_predictions(scores, hop, labels, path)
+    return corrupt
+
+
 def _parameters_edit(edit):
     """Rewrite the checkpoint at `path` after `edit(model)`, a whole and
     well-formed container whose parameters no longer fit its header."""
@@ -449,11 +458,17 @@ CORRUPT_HEADERS = {
         lambda m: m.parameters.update(primary_bias=Tensor(np.zeros(5))))),
     "ckpt_f8_parameters_under_f4_header": ("ckpt", _parameters_edit(
         lambda m: setattr(m, "dtype", np.dtype(np.float32)))),
+    "ckpt_nan_parameter": ("ckpt", _parameters_edit(
+        lambda m: m.parameters["conv0_kernel"].numpy().fill(np.nan))),
+    "ckpt_inf_parameter": ("ckpt", _parameters_edit(
+        lambda m: m.parameters["primary_bias"].numpy().fill(-np.inf))),
     "pred_f8_scores": ("pred", _first_array(dtype="<f8")),
     "pred_negative_shape": ("pred", _first_array(shape=[-40, 2])),
     "pred_labels_not_a_list": ("pred", _header_edit(lambda h: h.update(labels=5))),
     "pred_labels_not_strings": ("pred", _header_edit(lambda h: h.update(labels=["a", 3]))),
     "pred_version_1": ("pred", _in_version_1_layout),
+    "pred_score_above_1": ("pred", _pred_score(2.0)),
+    "pred_negative_score": ("pred", _pred_score(-0.25)),
 }
 
 # where a run directory keeps each artifact, and a command that reads it first

@@ -1,4 +1,7 @@
+import ast
+import inspect
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +88,7 @@ def test_detached_parameter_warns_and_zeroes():
     ("mul", lambda p: T.tsum(T.mul(p, Tensor(np.linspace(1, 2, 12).reshape(3, 4))))),
     ("div", lambda p: T.tsum(T.div(p, Tensor(np.linspace(1, 2, 12).reshape(3, 4))))),
     ("div_denom", lambda p: T.tsum(T.div(Tensor(np.ones((3, 4))), T.add(T.square(p), 1.0)))),
+    ("neg", lambda p: T.tsum(T.mul(T.neg(p), Tensor(np.linspace(1, 2, 12).reshape(3, 4))))),
     ("square", lambda p: T.tsum(T.square(p))),
     ("log", lambda p: T.tsum(T.log(T.add(T.square(p), 1.5)))),
     ("exp", lambda p: T.tsum(T.exp(p))),
@@ -108,6 +112,21 @@ def test_gradcheck_elementwise(name, build):
     rng = np.random.default_rng(hash(name) % (2 ** 32))
     x0 = rng.normal(size=(3, 4)) * 0.7
     _gradcheck(build, x0)
+
+
+def test_every_public_op_has_a_gradient_check():
+    """Each public op of polysed.tensor is called in a test_gradcheck_* test
+    of this file, in its body or in its parametrized cases."""
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and fn.__module__ == T.__name__
+           and not name.startswith("_") and fn.__annotations__.get("return") == "Tensor"}
+    checked = set()
+    for node in ast.parse(Path(__file__).read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("test_gradcheck"):
+            checked |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "T"}
+    assert {"add", "neg", "dropout", "conv2d", "maxpool_last"} <= ops
+    assert sorted(ops - checked) == []
 
 
 def test_gradcheck_matmul():
