@@ -506,6 +506,8 @@ def _tfr_from(header: dict, arrays: dict) -> Tfr:
     if not isinstance(name, str):
         raise DataError(f"feature name {name!r} is not a string")
     tfr = Tfr(values=arrays["values"], config=parse_tfr_name(name))
+    if tfr.n_frames == 0:
+        raise DataError("no frames")
     if tfr.freq_bins != tfr.config.freq_bins:
         raise DataError(f"{tfr.freq_bins} frequency bins, but {name} has {tfr.config.freq_bins}")
     if not np.isfinite(tfr.values).all():

@@ -8,7 +8,7 @@ Stage artifacts (all deterministic given the config and seed):
     tfr/<tfr>/<split>/<clip>.tfr  feature archives
     models/<tfr>.ckpt             trained detector checkpoints
     pred/<tfr>/<split>.pred       flat frame scores (valid frames only)
-    pred/fused/<split>.pred       aggregated scores
+    pred/fused/eval.pred          fused scores: fuse-apply's output, read by no stage
     fusion/single_<tfr>.json      per-feature fitted parameters
     fusion/fused.json             joint fitted parameters
     fusion/fit_results.json       fitting-split error rates
@@ -66,7 +66,10 @@ def read_manifest(out: Path) -> list[tuple[str, str]]:
 
 
 def clips_for_split(out: Path, split: str) -> list[str]:
-    return [cid for cid, s in read_manifest(out) if s == split]
+    clips = [cid for cid, s in read_manifest(out) if s == split]
+    if not clips:
+        raise DataError(f"{manifest_path(out)}: no {split} clips")
+    return clips
 
 
 def _wav_path(out: Path, split: str, clip_id: str) -> Path:
@@ -87,6 +90,10 @@ def _ckpt_path(out: Path, tfr_name: str) -> Path:
 
 def _pred_path(out: Path, system: str, split: str) -> Path:
     return out / "pred" / system / f"{split}.pred"
+
+
+def _fusion_path(out: Path, name: str) -> Path:
+    return out / "fusion" / f"{name}.json"
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +269,8 @@ def run_train(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
 
 def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     """Frame scores for the val and eval splits, valid frames only, clip
-    order as in the manifest; each clip's windows are predicted in stacks
-    of at most `[train] batch_size`."""
+    order as in the manifest; a split's windows are predicted in stacks of
+    at most `[train] batch_size`, as validation predicts them."""
     out = Path(out)
     _model_and_tfr(cfg, tfr_name)
     ckpt = _ckpt_path(out, tfr_name)
@@ -272,11 +279,10 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
     model, _ = dataio.read_checkpoint(ckpt)
     written = {}
     for split in ("val", "eval"):
-        parts = []
+        windows = []
         for clip_id in clips_for_split(out, split):
-            tfr = dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id))
-            parts += predict_frames(model, dsp.window_tfr(tfr), cfg.train.batch_size)
-        scores = np.concatenate(parts, axis=0)
+            windows += dsp.window_tfr(dataio.read_tfr(_tfr_path(out, tfr_name, split, clip_id)))
+        scores = np.concatenate(predict_frames(model, windows, cfg.train.batch_size), axis=0)
         dataio.write_predictions(scores, dsp.HOP_SECONDS, cfg.vocabulary,
                                  _pred_path(out, tfr_name, split))
         written[split] = scores.shape
@@ -287,13 +293,12 @@ def run_predict(cfg: ExperimentConfig, tfr_name: str, out: Path) -> dict:
 # fusion
 # ---------------------------------------------------------------------------
 
-def _load_split(cfg: ExperimentConfig, out: Path, split: str,
-                systems: list[str]) -> PredictionSet:
-    """Each system's scores on one split, with the split's ground truth and
-    its clips' frame counts."""
+def _load_split(cfg: ExperimentConfig, out: Path, split: str) -> PredictionSet:
+    """Each `[fusion] tfrs` entry's scores on one split, with the split's
+    ground truth and its clips' frame counts."""
+    paths = [_pred_path(out, tfr_name, split) for tfr_name in cfg.fusion.tfrs]
     scores = []
-    for system in systems:
-        path = _pred_path(out, system, split)
+    for path in paths:
         values, hop, labels = dataio.read_predictions(path)
         _check_vocabulary(labels, cfg.vocabulary, path)
         if hop != dsp.HOP_SECONDS:
@@ -303,9 +308,12 @@ def _load_split(cfg: ExperimentConfig, out: Path, split: str,
     for clip_id in clips_for_split(out, split):
         tfr = dataio.read_tfr(_tfr_path(out, cfg.fusion.tfrs[0], split, clip_id))
         rolls.append(_clip_roll(cfg, out, split, clip_id, tfr.n_frames).values)
-    return PredictionSet(predictions=scores, truth=np.concatenate(rolls, axis=0),
-                         hop=dsp.HOP_SECONDS, labels=list(cfg.vocabulary),
-                         lengths=[len(r) for r in rolls])
+    truth = np.concatenate(rolls, axis=0)
+    for path, values in zip(paths, scores):
+        if len(values) != len(truth):
+            raise DataError(f"{path}: {len(values)} frames, but the {split} split has {len(truth)}")
+    return PredictionSet(predictions=scores, truth=truth, hop=dsp.HOP_SECONDS,
+                         labels=list(cfg.vocabulary), lengths=[len(r) for r in rolls])
 
 
 def _check_vocabulary(found: list[str], expected: list[str], path) -> None:
@@ -317,43 +325,42 @@ def _check_vocabulary(found: list[str], expected: list[str], path) -> None:
     raise DataError(f"{path}: vocabulary length {len(found)} != config {len(expected)}")
 
 
+def _fitted_systems(cfg: ExperimentConfig, out: Path, split: str) -> list[tuple]:
+    """(name, kind, PredictionSet, parameter path) on one split for each
+    `[fusion] tfrs` entry, then for the fused system."""
+    pset = _load_split(cfg, out, split)
+    systems = [(tfr_name, "single", replace(pset, predictions=[scores]),
+                _fusion_path(out, f"single_{tfr_name}"))
+               for tfr_name, scores in zip(cfg.fusion.tfrs, pset.predictions)]
+    return systems + [("+".join(cfg.fusion.tfrs), "fused", pset, _fusion_path(out, "fused"))]
+
+
 def run_fuse_fit(cfg: ExperimentConfig, out: Path) -> dict:
     """Fit per-feature and joint fusion parameters on the val split."""
     out = Path(out)
-    fusion_dir = out / "fusion"
     results = {"fit_split": "val", "single": {}, "fused": {}}
-
-    pset_all = _load_split(cfg, out, "val", cfg.fusion.tfrs)
-    for tfr_name, tfr_scores in zip(cfg.fusion.tfrs, pset_all.predictions):
-        pset = replace(pset_all, predictions=[tfr_scores])
+    for name, kind, pset, path in _fitted_systems(cfg, out, "val"):
         params = fit_fusion(pset)
-        dataio.write_fusion_params(params, fusion_dir / f"single_{tfr_name}.json",
-                                   grid_note=GRID_NOTE)
-        results["single"][tfr_name] = fitted_error_rate(pset, params)
-
-    fused_params = fit_fusion(pset_all)
-    dataio.write_fusion_params(fused_params, fusion_dir / "fused.json", grid_note=GRID_NOTE)
-    results["fused"] = {
-        "tfrs": list(cfg.fusion.tfrs),
-        "er": fitted_error_rate(pset_all, fused_params),
-        "weights": [float(w) for w in fused_params.weights],
-    }
-    dataio.write_file(fusion_dir / "fit_results.json", json.dumps(results, indent=2) + "\n")
+        dataio.write_fusion_params(params, path, grid_note=GRID_NOTE)
+        er = fitted_error_rate(pset, params)
+        if kind == "single":
+            results["single"][name] = er
+        else:
+            results["fused"] = {"tfrs": list(cfg.fusion.tfrs), "er": er,
+                                "weights": [float(w) for w in params.weights]}
+    dataio.write_file(_fusion_path(out, "fit_results"), json.dumps(results, indent=2) + "\n")
     return results
 
 
-def run_fuse_apply(cfg: ExperimentConfig, out: Path,
-                   splits: tuple[str, ...] = ("eval",)) -> dict:
-    """Aggregate per-feature scores with the fitted joint parameters."""
+def run_fuse_apply(cfg: ExperimentConfig, out: Path) -> dict:
+    """Aggregate the eval split's per-feature scores with the fitted joint
+    parameters."""
     out = Path(out)
-    params = dataio.read_fusion_params(out / "fusion" / "fused.json")
-    written = {}
-    for split in splits:
-        pset = _load_split(cfg, out, split, cfg.fusion.tfrs)
-        fused = fuse(pset, params)
-        dataio.write_predictions(fused, pset.hop, cfg.vocabulary, _pred_path(out, "fused", split))
-        written[split] = fused.shape
-    return written
+    params = dataio.read_fusion_params(_fusion_path(out, "fused"))
+    pset = _load_split(cfg, out, "eval")
+    fused = fuse(pset, params)
+    dataio.write_predictions(fused, pset.hop, cfg.vocabulary, _pred_path(out, "fused", "eval"))
+    return {"eval": fused.shape}
 
 
 # ---------------------------------------------------------------------------
@@ -361,30 +368,20 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path,
 # ---------------------------------------------------------------------------
 
 def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
-    """Score every system on one split; writes results.json and report.txt."""
+    """Score every system on one split as fuse-fit scores it, from the
+    per-feature scores and the stored parameters; writes results.json and
+    report.txt."""
     out = Path(out)
-    names = list(cfg.fusion.tfrs)
-    if _pred_path(out, "fused", split).exists():
-        names.append("fused")
-    pset = _load_split(cfg, out, split, names)
-    truth = EventRoll(pset.truth, pset.hop, pset.labels)
     systems = []
-    for name, values in zip(names, pset.predictions):
-        if name == "fused":
-            params = dataio.read_fusion_params(out / "fusion" / "fused.json")
-            roll = apply_threshold(values, params.thresholds)
-            name, kind = "+".join(cfg.fusion.tfrs), "fused"
-        else:
-            params = dataio.read_fusion_params(out / "fusion" / f"single_{name}.json")
-            roll = apply_threshold(fuse(replace(pset, predictions=[values]), params),
-                                   params.thresholds)
-            kind = "single"
-        counts = segment_counts(truth, EventRoll(roll, pset.hop, pset.labels),
-                                lengths=pset.lengths)
+    for name, kind, pset, path in _fitted_systems(cfg, out, split):
+        params = dataio.read_fusion_params(path)
+        roll = apply_threshold(fuse(pset, params), params.thresholds)
+        counts = segment_counts(EventRoll(pset.truth, pset.hop, pset.labels),
+                                EventRoll(roll, pset.hop, pset.labels), lengths=pset.lengths)
         systems.append(_system_entry(name, kind, counts))
 
     results = {"split": split, "systems": systems}
-    fit_path = out / "fusion" / "fit_results.json"
+    fit_path = _fusion_path(out, "fit_results")
     if fit_path.exists():
         results["fit"] = dataio.read_json(fit_path)
     report = _format_stored(results, fit_path)

@@ -201,6 +201,10 @@ def _stack(seed, n, freq=8, n_events=2):
 
 
 def test_stack_forward_equals_per_window_forwards():
+    """A stack scores each window as a forward of its own; and predict's
+    bits do not depend on how the windows are stacked (1, 2 or 8 at a
+    time), for the desk model at 64 and 128 bins (f32) and home_config at
+    96 bins (f64), which predicting a whole split in stacks relies on."""
     model = CapsNetModel.build(tiny_config(), 8, 2, stream(50))
     values, _, _ = _stack(0, 3)
     stacked = model.forward(values).numpy()
@@ -208,6 +212,18 @@ def test_stack_forward_equals_per_window_forwards():
     for w, act in zip(values, stacked):
         np.testing.assert_allclose(act, model.forward(w).numpy(), rtol=1e-12, atol=0)
     np.testing.assert_array_equal(model.predict(values).values, stacked)
+
+    desk = CapsNetConfig(cnn_kernels=(8, 8), cnn_kernel_dim=3, pool_dims=(4, 4),
+                         n_primary_caps=4, primary_cap_dim=4, output_cap_dim=4,
+                         routing_iters=3, n_events=3)
+    for cfg, freq, dtype in ((desk, 64, np.float32), (desk, 128, np.float32),
+                             (home_config(3), 96, np.float64)):
+        model = CapsNetModel.build(cfg, freq, 2, stream(55), dtype=dtype)
+        windows = np.random.default_rng(freq).normal(size=(8, 256, freq, 2)).astype(np.float32)
+        whole = model.predict(windows).values
+        for n in (1, 2):
+            parts = [model.predict(windows[i:i + n]).values for i in range(0, 8, n)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 def test_stack_loss_is_the_mean_of_window_losses():

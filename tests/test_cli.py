@@ -17,6 +17,7 @@ from polysed.capsnet import CapsNetConfig, CapsNetModel, detection_loss
 from polysed.cli import main
 from polysed.config import DatasetConfig, FusionConfig, TrainConfig, load_config
 from polysed.dataio import ClassSpec, SynthSpec
+from polysed.dsp import Tfr, parse_tfr_name
 from polysed.errors import ConfigError
 from polysed.optim import AdaDeltaState, adadelta_step
 from polysed.rng import stream
@@ -269,7 +270,7 @@ def test_vocabulary_mismatch_exits_2(ran_pipeline, tmp_path, capsys):
 
 def test_eval_on_mismatched_hops_exits_2(ran_pipeline, capsys):
     cfg_path, out = ran_pipeline
-    pred = out / "pred" / "fused" / "eval.pred"
+    pred = out / "pred" / "logmel_32" / "eval.pred"
     before = pred.read_bytes()
     scores, hop, labels = dataio.read_predictions(pred)
     dataio.write_predictions(scores, 2 * hop, labels, pred)
@@ -374,14 +375,100 @@ def test_eval_on_the_fit_split_reports_the_fitted_ers(ran_pipeline):
     kept = {p: p.read_bytes() for p in (out / "eval").iterdir()}
     fit = json.loads((out / "fusion" / "fit_results.json").read_text())
     try:
-        pipeline.run_fuse_apply(cfg, out, splits=("val",))
         results = pipeline.run_eval(cfg, out, split="val")
     finally:
-        (out / "pred" / "fused" / "val.pred").unlink(missing_ok=True)
         for path, data in kept.items():
             path.write_bytes(data)
     ers = {s["name"]: s["er"] for s in results["systems"]}
     assert ers == {**fit["single"], "+".join(fit["fused"]["tfrs"]): fit["fused"]["er"]}
+
+
+def test_eval_scores_the_fused_system_as_fuse_fit_fitted_it(tmp_path):
+    """Two detectors of equal MSE, so of equal weight, fuse to 0.5 - 2**-26
+    in a segment without the event: below the 0.5 threshold in f64, and
+    0.5 once rounded to the f32 of a .pred.  fuse-fit keeps the threshold
+    with fitted ER 0, and eval on the fitting split reads the same, from
+    the per-feature scores and not from the fused file beside them."""
+    out = tmp_path / "out"
+    cfg_path = tmp_path / "exp.cfg"
+    cfg_path.write_text("[dataset]\nclasses = a:tone:100-200\n\n[model logmel_8]\n"
+                        + MODEL_REQUIRED + "\n[model logmel_16]\n" + MODEL_REQUIRED)
+    cfg = load_config(cfg_path)
+    dataio.write_file(pipeline.manifest_path(out), "c\tval\n")
+    annotation = dataio.Annotation([(0.2, 0.6, "a")])
+    dataio.write_annotations(annotation, out / "corpus" / "val" / "c.txt")
+    dataio.write_tfr(Tfr(np.zeros((100, 8, 2), np.float32), parse_tfr_name("logmel_8")),
+                     out / "tfr" / "logmel_8" / "val" / "c.tfr")
+    truth = dataio.annotation_to_roll(annotation, 0.02, 100, ["a"]).values
+    below = np.float32(0.5 - 2.0 ** -25)
+    scores = []
+    for tfr_name, (y70, y80) in (("logmel_8", (0.5, below)), ("logmel_16", (below, 0.5))):
+        scores.append(truth.astype(np.float32))
+        scores[-1][70, 0], scores[-1][80, 0] = y70, y80
+        dataio.write_predictions(scores[-1], 0.02, ["a"], out / "pred" / tfr_name / "val.pred")
+    fused = np.mean(scores, axis=0, dtype=np.float64)
+    assert fused.max(initial=0, where=truth == 0) == 0.5 - 2.0 ** -26
+    assert np.float32(0.5 - 2.0 ** -26) == 0.5
+    dataio.write_predictions(fused, 0.02, ["a"], out / "pred" / "fused" / "val.pred")
+
+    fit = pipeline.run_fuse_fit(cfg, out)
+    assert fit["fused"]["weights"][0] == fit["fused"]["weights"][1]
+    assert fit["fused"]["er"] == 0.0
+    results = pipeline.run_eval(cfg, out, split="val")
+    ers = {s["name"]: s["er"] for s in results["systems"]}
+    assert ers == {**fit["single"], "logmel_8+logmel_16": 0.0}
+
+
+def test_eval_without_fuse_apply_scores_every_system(ran_pipeline):
+    cfg_path, out = ran_pipeline
+    stored = (out / "eval" / "results.json").read_bytes()
+    fused, hidden = out / "pred" / "fused", out / "pred.fused.hidden"
+    fused.rename(hidden)
+    try:
+        assert _run(cfg_path, out, "eval") == 0
+    finally:
+        hidden.rename(fused)
+    assert (out / "eval" / "results.json").read_bytes() == stored
+    results = json.loads(stored)
+    assert [s["kind"] for s in results["systems"]] == ["single", "single", "fused"]
+
+
+def test_eval_without_fused_parameters_exits_2(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    path = out / "fusion" / "fused.json"
+    before = path.read_bytes()
+    path.unlink()
+    try:
+        _exits_2_naming(path, capsys, cfg_path, out, "eval")
+    finally:
+        path.write_bytes(before)
+
+
+@pytest.mark.parametrize("command,split", [("fuse-fit", "val"), ("eval", "eval")])
+def test_predictions_of_the_wrong_length_exit_2_naming_the_file(ran_pipeline, capsys,
+                                                                command, split):
+    cfg_path, out = ran_pipeline
+    pred = out / "pred" / "logmel_32" / f"{split}.pred"
+    before = pred.read_bytes()
+    scores, hop, labels = dataio.read_predictions(pred)
+    dataio.write_predictions(scores[1:], hop, labels, pred)
+    try:
+        _exits_2_naming(pred, capsys, cfg_path, out, command)
+    finally:
+        pred.write_bytes(before)
+
+
+def test_a_split_without_clips_exits_2_naming_the_manifest(ran_pipeline, capsys):
+    cfg_path, out = ran_pipeline
+    manifest = pipeline.manifest_path(out)
+    before = manifest.read_text()
+    manifest.write_text("".join(line for line in before.splitlines(keepends=True)
+                                if not line.endswith("\teval\n")))
+    try:
+        for argv in (["predict", "--tfr", "logmel_16"], ["fuse-apply"], ["eval"]):
+            _exits_2_naming(manifest, capsys, cfg_path, out, *argv)
+    finally:
+        manifest.write_text(before)
 
 
 def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):

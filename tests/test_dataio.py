@@ -16,7 +16,7 @@ from polysed.dataio import (Annotation, ClassSpec, SynthSpec, annotation_to_roll
                             synthesize_dataset, write_annotations,
                             write_checkpoint, write_fusion_params, write_predictions,
                             write_file, write_tfr, write_wav)
-from polysed.dsp import AudioClip, extract, logmel_config
+from polysed.dsp import AudioClip, Tfr, extract, logmel_config
 from polysed.errors import DataError
 from polysed.fusion import FusionParams
 from polysed.rng import stream
@@ -418,6 +418,12 @@ def _tfr_value(value):
     return corrupt
 
 
+def _tfr_without_frames(path):
+    """Rewrite the feature archive at `path` with no frames left."""
+    tfr = read_tfr(path)
+    write_tfr(Tfr(tfr.values[:0], tfr.config), path)
+
+
 def _pred_score(value):
     """Rewrite the prediction file at `path` with one score set to `value`."""
     def corrupt(path):
@@ -447,6 +453,7 @@ CORRUPT_HEADERS = {
     "tfr_version_1": ("tfr", _in_version_1_layout),
     "tfr_nan_value": ("tfr", _tfr_value(np.nan)),
     "tfr_inf_value": ("tfr", _tfr_value(-np.inf)),
+    "tfr_no_frames": ("tfr", _tfr_without_frames),
     "ckpt_integer_parameter": ("ckpt", _first_array(dtype="<i8")),
     "ckpt_offset_past_end": ("ckpt", _first_array(offset=1 << 40)),
     "ckpt_version_1": ("ckpt", _in_version_1_layout),
