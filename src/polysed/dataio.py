@@ -167,10 +167,11 @@ def read_wav(path) -> AudioClip:
 
 def write_wav(clip: AudioClip, path) -> None:
     """Write 16-bit PCM; samples are clipped to [-1, 1] first."""
-    samples = np.clip(clip.samples, -1.0, 1.0)
-    quantized = np.clip(np.round(samples * PCM16_SCALE), -32768, 32767).astype("<i2")
-    interleaved = quantized.T.reshape(-1)
-    payload = interleaved.tobytes()
+    scaled = np.clip(clip.samples, -1.0, 1.0)  # the one float copy; the steps below reuse it
+    scaled *= PCM16_SCALE
+    np.round(scaled, out=scaled)
+    np.clip(scaled, -32768, 32767, out=scaled)
+    payload = scaled.T.astype("<i2", order="C").tobytes()  # frames interleave the channels
     channels = clip.channels
     byte_rate = clip.sample_rate * channels * 2
     header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
@@ -408,19 +409,18 @@ def generate_clip(spec: SynthSpec, rng: np.random.Generator) -> tuple[AudioClip,
     return AudioClip(mix, sr), Annotation(events=sorted(placed))
 
 
-def synthesize_dataset(spec: SynthSpec, n_clips: int,
-                       name_prefix: str = "clip") -> list[tuple[str, AudioClip, Annotation]]:
-    """Seeded corpus as (clip_id, audio, annotation) triples.
+def synthesize_dataset(spec: SynthSpec, n_clips: int, name_prefix: str = "clip"):
+    """Seeded corpus: yields one (clip_id, audio, annotation) triple at a
+    time, each clip made only when it is asked for.
 
     Each clip draws from its own child stream, so clip i is identical no
-    matter how many clips are requested.
+    matter how many clips are requested.  The generator keeps no reference
+    to a clip it has yielded, so a caller that drops each clip before
+    asking for the next holds one clip at a time.
     """
-    out = []
     for i in range(n_clips):
         clip_id = f"{name_prefix}_{i:04d}"
-        clip, ann = generate_clip(spec, stream(spec.seed, clip_id))
-        out.append((clip_id, clip, ann))
-    return out
+        yield (clip_id, *generate_clip(spec, stream(spec.seed, clip_id)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,10 @@ Stage artifacts (all deterministic given the config and seed):
     eval/results.json             evaluation-split error rates
     eval/report.txt               human-readable table
 
+Synth writes the manifest last, after every clip, and removes the old one
+before it writes the first: a manifest marks a complete corpus, and the
+stages that read the corpus find its clips through it.
+
 Training clips are split train/val by ``val_fraction`` (the tail of the
 development corpus becomes the validation split).  The validation split
 drives early stopping and is also the fusion-fitting split; the evaluation
@@ -101,27 +105,37 @@ def _fusion_path(out: Path, name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 def run_synth(cfg: ExperimentConfig, out: Path) -> list[tuple[str, str]]:
-    """Generate the corpus and write the split manifest."""
+    """Generate the corpus and write the split manifest.
+
+    Each clip is written as it is made, so one clip is in memory at a
+    time: the development clips (train, then val), then the evaluation
+    clips.  The old manifest goes before the first clip and the new one
+    comes after the last, so a synth that fails or is killed leaves none.
+    """
     out = Path(out)
     ds = cfg.dataset
-    rows: list[tuple[str, str]] = []
-    dev = dataio.synthesize_dataset(ds.synth, ds.train_clips, name_prefix="dev")
+    manifest = manifest_path(out)
+    try:
+        manifest.unlink(missing_ok=True)
+    except OSError as exc:
+        raise DataError(f"{manifest}: cannot remove ({exc.strerror or exc})") from None
     eval_spec = replace(ds.synth, seed=derive_seed(ds.synth.seed, "eval-corpus"))
+    dev = dataio.synthesize_dataset(ds.synth, ds.train_clips, name_prefix="dev")
     ev = dataio.synthesize_dataset(eval_spec, ds.eval_clips, name_prefix="eval")
-    for i, (clip_id, clip, ann) in enumerate(dev):
-        split = "train" if i < ds.train_clips - ds.n_val else "val"
-        rows.append((clip_id, split))
-        _write_clip(out, split, clip_id, clip, ann)
-    for clip_id, clip, ann in ev:
-        rows.append((clip_id, "eval"))
-        _write_clip(out, "eval", clip_id, clip, ann)
-    dataio.write_file(manifest_path(out), "".join(f"{cid}\t{split}\n" for cid, split in rows))
+    n_train = ds.train_clips - ds.n_val
+    rows: list[tuple[str, str]] = []
+    for corpus in (dev, ev):
+        # Plain loops, and the clip dropped before the next is made: an
+        # enumerate or zip would keep the last triple alive meanwhile.
+        for clip_id, clip, ann in corpus:
+            split = ("train" if len(rows) < n_train else
+                     "val" if len(rows) < ds.train_clips else "eval")
+            dataio.write_wav(clip, _wav_path(out, split, clip_id))
+            dataio.write_annotations(ann, _ann_path(out, split, clip_id))
+            rows.append((clip_id, split))
+            del clip, ann
+    dataio.write_file(manifest, "".join(f"{cid}\t{split}\n" for cid, split in rows))
     return rows
-
-
-def _write_clip(out, split, clip_id, clip, ann):
-    dataio.write_wav(clip, _wav_path(out, split, clip_id))
-    dataio.write_annotations(ann, _ann_path(out, split, clip_id))
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +349,20 @@ def _fitted_systems(cfg: ExperimentConfig, out: Path, split: str) -> list[tuple]
     return systems + [("+".join(cfg.fusion.tfrs), "fused", pset, _fusion_path(out, "fused"))]
 
 
+def _read_params(path: Path, pset: PredictionSet):
+    """The fusion parameters at `path` for the system `pset` holds: one
+    weight and one bias per prediction matrix, one threshold per event; other
+    counts are a DataError naming the file."""
+    params = dataio.read_fusion_params(path)
+    for what, values, want, per in (
+            ("weights", params.weights, pset.n_models, "prediction matrices"),
+            ("biases", params.biases, pset.n_models, "prediction matrices"),
+            ("thresholds", params.thresholds, pset.n_events, "events")):
+        if len(values) != want:
+            raise DataError(f"{path}: {len(values)} {what} for {want} {per}")
+    return params
+
+
 def run_fuse_fit(cfg: ExperimentConfig, out: Path) -> dict:
     """Fit per-feature and joint fusion parameters on the val split."""
     out = Path(out)
@@ -356,8 +384,8 @@ def run_fuse_apply(cfg: ExperimentConfig, out: Path) -> dict:
     """Aggregate the eval split's per-feature scores with the fitted joint
     parameters."""
     out = Path(out)
-    params = dataio.read_fusion_params(_fusion_path(out, "fused"))
     pset = _load_split(cfg, out, "eval")
+    params = _read_params(_fusion_path(out, "fused"), pset)
     fused = fuse(pset, params)
     dataio.write_predictions(fused, pset.hop, cfg.vocabulary, _pred_path(out, "fused", "eval"))
     return {"eval": fused.shape}
@@ -374,7 +402,7 @@ def run_eval(cfg: ExperimentConfig, out: Path, split: str = "eval") -> dict:
     out = Path(out)
     systems = []
     for name, kind, pset, path in _fitted_systems(cfg, out, split):
-        params = dataio.read_fusion_params(path)
+        params = _read_params(path, pset)
         roll = apply_threshold(fuse(pset, params), params.thresholds)
         counts = segment_counts(EventRoll(pset.truth, pset.hop, pset.labels),
                                 EventRoll(roll, pset.hop, pset.labels), lengths=pset.lengths)

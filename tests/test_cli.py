@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from polysed.cli import main
 from polysed.config import DatasetConfig, FusionConfig, TrainConfig, load_config
 from polysed.dataio import ClassSpec, SynthSpec
 from polysed.dsp import Tfr, parse_tfr_name
-from polysed.errors import ConfigError
+from polysed.errors import ConfigError, DataError
 from polysed.optim import AdaDeltaState, adadelta_step
 from polysed.rng import stream
 
@@ -205,6 +207,63 @@ def test_synth_idempotent(ran_pipeline):
     before = wav.read_bytes()
     assert _run(cfg_path, out, "synth") == 0
     assert wav.read_bytes() == before
+
+
+def _synth_peak(cfg, out, train_clips, eval_clips):
+    """run_synth's tracemalloc peak in bytes, on 3-second clips."""
+    ds = cfg.dataset
+    cfg = replace(cfg, dataset=replace(ds, synth=replace(ds.synth, clip_seconds=3.0),
+                                       train_clips=train_clips, eval_clips=eval_clips))
+    tracemalloc.start()
+    try:
+        pipeline.run_synth(cfg, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_synth_memory_does_not_grow_with_the_corpus(workdir, tmp_path):
+    """Synth writes each clip as it is made: its peak on 8 clips stays
+    within one clip's samples of its peak on 2."""
+    cfg = load_config(workdir[0])
+    _synth_peak(cfg, tmp_path / "warm", 2, 0)  # first calls allocate state that stays
+    two = _synth_peak(cfg, tmp_path / "two", 2, 0)
+    eight = _synth_peak(cfg, tmp_path / "eight", 6, 2)
+    clip_bytes = 2 * 3 * 16000 * 8  # two channels of 3 s at 16 kHz in f64
+    assert eight - two <= clip_bytes, (two, eight)
+
+
+def test_a_failed_synth_leaves_no_manifest(workdir, tmp_path, monkeypatch, capsys):
+    """A synth that fails partway removes the old manifest, so later stages
+    refuse the mix of two corpora it leaves."""
+    cfg_path, _ = workdir
+    out = tmp_path / "out"
+    assert _run(cfg_path, out, "synth") == 0
+    write_wav = dataio.write_wav
+    written = []
+
+    def fail_on_the_third(clip, path):
+        written.append(path)
+        if len(written) == 3:
+            raise DataError(f"{path}: cannot write (No space left on device)")
+        write_wav(clip, path)
+
+    monkeypatch.setattr(dataio, "write_wav", fail_on_the_third)
+    assert _run(cfg_path, out, "synth", "--seed", "78") == 2
+    assert not pipeline.manifest_path(out).exists()
+    capsys.readouterr()
+    assert _run(cfg_path, out, "extract", "--tfr", "logmel_16") == 2
+    err = capsys.readouterr().err.strip()
+    assert "run synth first" in err and "\n" not in err
+
+
+def test_synth_that_cannot_remove_the_manifest_writes_no_clip(workdir, tmp_path, capsys):
+    cfg_path, _ = workdir
+    out = tmp_path / "out"
+    manifest = pipeline.manifest_path(out)
+    manifest.mkdir(parents=True)  # a directory: unlink fails
+    _exits_2_naming(manifest, capsys, cfg_path, out, "synth")
+    assert not list((out / "corpus").rglob("*.wav"))
 
 
 def test_wrong_sample_rate_exits_2(workdir, tmp_path, capsys):
@@ -484,6 +543,25 @@ def test_fuse_fit_on_nan_scores_exits_3(ran_pipeline, capsys):
         assert err.startswith("polysed: error: numeric:") and "\n" not in err
     finally:
         pred.write_bytes(before)
+
+
+@pytest.mark.parametrize("command,name,cut", [
+    *[(command, "fused", cut) for command in ("eval", "fuse-apply")
+      for cut in ("weights+biases", "biases", "thresholds")],
+    ("eval", "single_logmel_16", "thresholds")])
+def test_fusion_parameters_of_the_wrong_count_exit_2_naming_the_file(ran_pipeline, capsys,
+                                                                     command, name, cut):
+    cfg_path, out = ran_pipeline
+    path = out / "fusion" / f"{name}.json"
+    before = path.read_bytes()
+    doc = json.loads(before)
+    for field in cut.split("+"):
+        doc[field] = doc[field][:-1]
+    path.write_text(json.dumps(doc))
+    try:
+        _exits_2_naming(path, capsys, cfg_path, out, command)
+    finally:
+        path.write_bytes(before)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

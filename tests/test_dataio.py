@@ -174,8 +174,8 @@ def test_generate_clip_respects_polyphony():
 
 
 def test_synthesize_dataset_deterministic(tmp_path):
-    corpus_a = synthesize_dataset(_spec(seed=9), 3)
-    corpus_b = synthesize_dataset(_spec(seed=9), 3)
+    corpus_a = list(synthesize_dataset(_spec(seed=9), 3))
+    corpus_b = list(synthesize_dataset(_spec(seed=9), 3))
     for (ida, clipa, anna), (idb, clipb, annb) in zip(corpus_a, corpus_b):
         assert ida == idb
         np.testing.assert_array_equal(clipa.samples, clipb.samples)
